@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -213,6 +215,33 @@ func TestTimeShiftEstimated(t *testing.T) {
 	// so the estimated shift must exceed 1.
 	if f.model.TimeShift <= 1.0 || f.model.TimeShift > 3.0 {
 		t.Errorf("time shift = %v, want in (1, 3]", f.model.TimeShift)
+	}
+}
+
+// TestTrainIdenticalAtAnyWorkerCount pins the Workers contract: the
+// cross-validation forests and the final one build their trees on
+// goroutines, and the encoded model must not change by a byte.
+func TestTrainIdenticalAtAnyWorkerCount(t *testing.T) {
+	f := pipeline(t)
+	encode := func(workers int) []byte {
+		pme := NewPME(17)
+		pme.ForestSize, pme.CVFolds, pme.CVRuns = 12, 3, 1
+		pme.Workers = workers
+		m, err := pme.Train(f.a1.Records, TrainConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	one := encode(1)
+	// At least 2, so the parallel path runs even where GOMAXPROCS is 1.
+	many := encode(max(2, runtime.GOMAXPROCS(0)))
+	if !bytes.Equal(one, many) {
+		t.Fatalf("model bytes differ between 1 and %d workers", max(2, runtime.GOMAXPROCS(0)))
 	}
 }
 

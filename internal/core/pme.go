@@ -145,6 +145,10 @@ type PME struct {
 	CVRuns  int
 	// Seed drives training determinism.
 	Seed int64
+	// Workers is the number of goroutines each forest's trees are built
+	// on (≤1: one after another). The model is byte-identical at any
+	// worker count.
+	Workers int
 }
 
 // NewPME returns a PME with the paper's defaults.
@@ -203,7 +207,7 @@ func (p *PME) Train(records []campaign.Record, cfg TrainConfig) (*Model, error) 
 	// Deep trees with single-sample leaves, matching the Weka defaults the
 	// paper's pipeline used; depth is what lets publisher-identity splits
 	// express themselves in the §5.4 ablation.
-	fcfg := mlkit.ForestConfig{Trees: p.ForestSize, Seed: p.Seed, MaxDepth: 24, MinLeaf: 1}
+	fcfg := mlkit.ForestConfig{Trees: p.ForestSize, Seed: p.Seed, MaxDepth: 24, MinLeaf: 1, Workers: p.Workers}
 	if cfg.WithPublishers {
 		// Rare one-hot identity features need a larger per-split candidate
 		// set to be discovered.
@@ -302,7 +306,7 @@ func (p *PME) ReduceDimensions(res *analyzer.Result, sampleCap int) (*ReductionR
 		return nil, err
 	}
 	y := binner.Labels(prices)
-	cfg := mlkit.ForestConfig{Trees: p.ForestSize, Seed: p.Seed}
+	cfg := mlkit.ForestConfig{Trees: p.ForestSize, Seed: p.Seed, Workers: p.Workers}
 
 	forest, err := mlkit.TrainForest(Xf, y, binner.Classes(), cfg)
 	if err != nil {

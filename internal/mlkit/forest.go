@@ -1,6 +1,9 @@
 package mlkit
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"yourandvalue/internal/stats"
 )
 
@@ -16,6 +19,10 @@ type ForestConfig struct {
 	MaxFeatures int
 	// Seed makes training deterministic.
 	Seed int64
+	// Workers is the number of goroutines the trees are built on; ≤1
+	// builds them one after another. The forest is identical at any
+	// worker count.
+	Workers int
 }
 
 func (c ForestConfig) withDefaults(d int) ForestConfig {
@@ -60,42 +67,52 @@ type Forest struct {
 }
 
 // TrainForest trains a random forest on X with labels y in [0, classes).
+// Features must not be NaN.
 func TrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) (*Forest, error) {
-	if len(X) == 0 || len(X) != len(y) || classes < 2 {
-		return nil, ErrBadTrainingData
+	cols, err := newColumns(X, y, classes)
+	if err != nil {
+		return nil, err
 	}
 	d := len(X[0])
 	cfg = cfg.withDefaults(d)
 	rng := stats.NewRand(cfg.Seed)
 
-	f := &Forest{Classes: classes, importance: make([]float64, d)}
-	f.Trees = make([]*Tree, 0, cfg.Trees)
-
-	// The bootstrap buffers are hoisted out of the tree loop and reused;
-	// only the per-tree in-bag rows (one packed bitset for the whole
-	// ensemble, consumed again by the OOB pass below) survive it.
+	// Every tree's bootstrap sample and seed are drawn up front, in the
+	// order a one-tree-at-a-time build would draw them, so the trees can
+	// then be built in any order without changing one of them. A sample
+	// is kept as per-row draw counts; rows a tree never drew (weight 0)
+	// are its out-of-bag rows.
 	n := len(X)
-	sampleX := make([][]float64, n)
-	sampleY := make([]int, n)
-	bags := make([]bool, cfg.Trees*n)
-	for t := 0; t < cfg.Trees; t++ {
-		inBag := bags[t*n : (t+1)*n]
-		for i := 0; i < n; i++ {
-			j := rng.Intn(n)
-			sampleX[i] = X[j]
-			sampleY[i] = y[j]
-			inBag[j] = true
+	weights := make([]int32, cfg.Trees*n)
+	seeds := make([]int64, cfg.Trees)
+	for t := range seeds {
+		w := weights[t*n : (t+1)*n]
+		for range n {
+			w[rng.Intn(n)]++
 		}
-		tree, err := TrainTree(sampleX, sampleY, classes, TreeConfig{
-			MaxDepth:    cfg.MaxDepth,
-			MinLeaf:     cfg.MinLeaf,
-			MaxFeatures: cfg.MaxFeatures,
-			Seed:        rng.Int63(),
-		})
-		if err != nil {
-			return nil, err
+		seeds[t] = rng.Int63()
+	}
+
+	tcfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, MaxFeatures: cfg.MaxFeatures}.withDefaults()
+	f := &Forest{Classes: classes, Trees: make([]*Tree, cfg.Trees), importance: make([]float64, d)}
+	var next atomic.Int64
+	work := func() {
+		b := newTreeBuilder(cols, tcfg)
+		for t := int(next.Add(1) - 1); t < cfg.Trees; t = int(next.Add(1) - 1) {
+			f.Trees[t] = b.grow(weights[t*n:(t+1)*n], seeds[t])
 		}
-		f.Trees = append(f.Trees, tree)
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(cfg.Workers, cfg.Trees); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, tree := range f.Trees {
 		for i, v := range tree.importance {
 			f.importance[i] += v
 		}
@@ -107,9 +124,9 @@ func TrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) (*Forest
 	flat := f.Flat()
 	oobVotes := make([]int, n*classes)
 	for t := 0; t < cfg.Trees; t++ {
-		inBag := bags[t*n : (t+1)*n]
+		w := weights[t*n : (t+1)*n]
 		for i := 0; i < n; i++ {
-			if !inBag[i] {
+			if w[i] == 0 {
 				oobVotes[i*classes+flat.PredictTree(t, X[i])]++
 			}
 		}

@@ -2,6 +2,7 @@ package mlkit
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"yourandvalue/internal/stats"
@@ -26,6 +27,41 @@ func noisyData(n int, seed int64) ([][]float64, []int) {
 			y[i] = 1
 		default:
 			y[i] = 2
+		}
+	}
+	return X, y
+}
+
+// sShapedData mimics the PME's S-vector training sets: one-hot groups
+// (binary columns, many constant), a few small-cardinality slot
+// dimensions, and 4 price classes that depend on some of them with
+// noise. 89 columns: 35 constant, 51 binary, 3 with 4–5 values.
+func sShapedData(n int, seed int64) ([][]float64, []int) {
+	rng := stats.NewRand(seed)
+	X := make([][]float64, n)
+	y := make([]int, n)
+	for i := range X {
+		row := make([]float64, 89)
+		// Columns 0..50: three one-hot groups of 17 (ADX, city, IAB-ish).
+		for g := 0; g < 3; g++ {
+			row[g*17+rng.Intn(17)] = 1
+		}
+		// Columns 51..53: slot width, height, area classes.
+		row[51] = float64(rng.Intn(5))
+		row[52] = float64(rng.Intn(4))
+		row[53] = float64(50 * (1 + rng.Intn(5)))
+		// Columns 54..88 stay constant (unused one-hot slots).
+		X[i] = row
+		score := 0.6*row[51] + 0.5*row[52] + 2*row[3] + 1.5*row[20] - row[40] + rng.Normal(0, 0.8)
+		switch {
+		case score < 1.5:
+			y[i] = 0
+		case score < 2.5:
+			y[i] = 1
+		case score < 3.5:
+			y[i] = 2
+		default:
+			y[i] = 3
 		}
 	}
 	return X, y
@@ -120,6 +156,21 @@ func TestForestValidation(t *testing.T) {
 	if _, err := TrainForest(nil, nil, 3, ForestConfig{}); err != ErrBadTrainingData {
 		t.Error("empty forest data accepted")
 	}
+	if _, err := TrainForest([][]float64{{1}, {2}}, []int{0}, 2, ForestConfig{}); err != ErrBadTrainingData {
+		t.Error("length mismatch accepted")
+	}
+	if _, err := TrainForest([][]float64{{1, 2}, {3}}, []int{0, 1}, 2, ForestConfig{}); err != ErrBadTrainingData {
+		t.Error("ragged rows accepted")
+	}
+	if _, err := TrainForest([][]float64{{1}, {2}}, []int{0, 2}, 2, ForestConfig{}); err != ErrBadTrainingData {
+		t.Error("out-of-range label accepted")
+	}
+	if _, err := TrainForest([][]float64{{1}, {2}}, []int{-1, 0}, 2, ForestConfig{}); err != ErrBadTrainingData {
+		t.Error("negative label accepted")
+	}
+	if _, err := TrainForest([][]float64{{1, 0}, {2, math.NaN()}}, []int{0, 1}, 2, ForestConfig{}); err != ErrBadTrainingData {
+		t.Error("NaN feature accepted")
+	}
 }
 
 func TestRepresentativeTree(t *testing.T) {
@@ -164,5 +215,26 @@ func TestTopIndices(t *testing.T) {
 	}
 	if n := len(topIndices([]float64{1, 2}, 10)); n != 2 {
 		t.Errorf("over-long k returned %d", n)
+	}
+}
+
+// BenchmarkTrainForest trains the PME's bootstrap forest shape — 40
+// depth-24, single-sample-leaf trees on an 8,640×89 S-shaped set — one
+// tree at a time and with trees fanned out over GOMAXPROCS workers.
+func BenchmarkTrainForest(b *testing.B) {
+	X, y := sShapedData(8640, 31)
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=GOMAXPROCS", runtime.GOMAXPROCS(0)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			cfg := ForestConfig{Trees: 40, MaxDepth: 24, MinLeaf: 1, Seed: 32, Workers: bc.workers}
+			for b.Loop() {
+				if _, err := TrainForest(X, y, 4, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

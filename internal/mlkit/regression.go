@@ -114,7 +114,7 @@ func (b *regBuilder) bestSplit(idx []int, parentSSE float64) (feat int, thr floa
 		if vals[0] == vals[len(vals)-1] {
 			continue
 		}
-		for _, t := range candidateThresholds(vals, b.cfg.MaxThresholds) {
+		for _, t := range candidateThresholds(nil, vals, b.cfg.MaxThresholds) {
 			var sumL, sumR, sqL, sqR float64
 			var nL, nR int
 			for _, i := range idx {

@@ -12,6 +12,7 @@ package mlkit
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"yourandvalue/internal/stats"
@@ -68,19 +69,56 @@ type Tree struct {
 	flat       flatOnce
 }
 
-// ErrBadTrainingData reports shape problems.
+// ErrBadTrainingData reports shape problems and NaN features.
 var ErrBadTrainingData = errors.New("mlkit: invalid training data")
 
 // TrainTree induces a CART classifier on X (n×d) with integer class
-// labels y in [0, classes).
+// labels y in [0, classes). Features must not be NaN.
 func TrainTree(X [][]float64, y []int, classes int, cfg TreeConfig) (*Tree, error) {
-	if len(X) == 0 || len(X) != len(y) || classes < 2 {
+	cols, err := newColumns(X, y, classes)
+	if err != nil {
+		return nil, err
+	}
+	w := make([]int32, len(X))
+	for i := range w {
+		w[i] = 1
+	}
+	cfg = cfg.withDefaults()
+	return newTreeBuilder(cols, cfg).grow(w, cfg.Seed), nil
+}
+
+// columns is a training matrix laid out for split search: per feature,
+// its distinct values in ascending order (dict) and each row's index
+// into them (rank), column-major. A node's class counts per value and
+// its candidate thresholds then come from one pass over its rows' ranks,
+// with no float gathering or sorting per node. Built once per TrainTree
+// or TrainForest and shared read-only by every tree.
+type columns struct {
+	dict     [][]float64
+	rank     [][]int32
+	y        []int
+	classes  int
+	maxRanks int // longest dict
+}
+
+// newColumns validates X and y and builds their rank columns. NaN is
+// rejected: it has no place in a sorted dictionary, and a ≤ threshold
+// test would send it right at every node. Rows, ranks and classes are
+// stored as int32.
+func newColumns(X [][]float64, y []int, classes int) (*columns, error) {
+	if len(X) == 0 || len(X) != len(y) || classes < 2 ||
+		len(X) > math.MaxInt32 || classes > math.MaxInt32 {
 		return nil, ErrBadTrainingData
 	}
-	d := len(X[0])
+	n, d := len(X), len(X[0])
 	for _, row := range X {
 		if len(row) != d {
 			return nil, ErrBadTrainingData
+		}
+		for _, v := range row {
+			if math.IsNaN(v) {
+				return nil, ErrBadTrainingData
+			}
 		}
 	}
 	for _, c := range y {
@@ -88,35 +126,98 @@ func TrainTree(X [][]float64, y []int, classes int, cfg TreeConfig) (*Tree, erro
 			return nil, ErrBadTrainingData
 		}
 	}
-	cfg = cfg.withDefaults()
-	b := &treeBuilder{
-		X: X, y: y, classes: classes, cfg: cfg,
-		rng:        stats.NewRand(cfg.Seed),
-		importance: make([]float64, d),
+	cols := &columns{
+		dict: make([][]float64, d), rank: make([][]int32, d),
+		y: y, classes: classes,
 	}
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
+	ranks := make([]int32, n*d)
+	vals := make([]float64, n)
+	for f := range d {
+		for i, row := range X {
+			vals[i] = row[f]
+		}
+		sort.Float64s(vals)
+		dict := []float64{vals[0]}
+		for _, v := range vals[1:] {
+			if v != dict[len(dict)-1] {
+				dict = append(dict, v)
+			}
+		}
+		rank := ranks[f*n : (f+1)*n]
+		for i, row := range X {
+			rank[i] = int32(sort.SearchFloat64s(dict, row[f]))
+		}
+		cols.dict[f], cols.rank[f] = dict, rank
+		cols.maxRanks = max(cols.maxRanks, len(dict))
 	}
-	root := b.build(idx, 0)
-	return &Tree{Root: root, Classes: classes, importance: b.importance}, nil
+	return cols, nil
 }
 
+// treeBuilder grows trees over shared columns. Its scratch buffers are
+// reused across nodes and across the trees one worker builds, so a
+// builder must not be shared between goroutines.
 type treeBuilder struct {
-	X          [][]float64
-	y          []int
-	classes    int
+	cols       *columns
 	cfg        TreeConfig
 	rng        *stats.Rand
 	importance []float64
+
+	rows        []sample  // the tree's rows; each node owns a sub-slice
+	spill       []sample  // partition scratch for right-hand rows
+	hist        []int     // rank×class weights of the feature being scanned
+	rankN       []int     // weight per rank of that feature
+	present     []int32   // ranks occurring at the node, ascending
+	vals        []float64 // their dictionary values
+	thresholds  []float64
+	left, right []int // per-class weights either side of a threshold
 }
 
-func (b *treeBuilder) counts(idx []int) []int {
-	c := make([]int, b.classes)
-	for _, i := range idx {
-		c[b.y[i]]++
+func newTreeBuilder(cols *columns, cfg TreeConfig) *treeBuilder {
+	return &treeBuilder{
+		cols:  cols,
+		cfg:   cfg,
+		hist:  make([]int, cols.maxRanks*cols.classes),
+		rankN: make([]int, cols.maxRanks),
+		left:  make([]int, cols.classes),
+		right: make([]int, cols.classes),
 	}
-	return c
+}
+
+// sample is one training row of a tree: its index into the columns,
+// its class, and its weight — how many times the tree's bootstrap drew
+// it. Every count (node sizes, MinLeaf, leaf Counts, Gini) is a weighted
+// sum, the same as counting a duplicated row once per copy. Carrying the
+// class and weight with the index keeps the split search's reads of
+// them sequential.
+type sample struct {
+	row, class, weight int32
+}
+
+// grow builds one tree on the rows with non-zero weight in w, with
+// feature subsampling seeded by seed.
+func (b *treeBuilder) grow(w []int32, seed int64) *Tree {
+	b.rng = stats.NewRand(seed)
+	b.importance = make([]float64, len(b.cols.dict))
+	rows := b.rows[:0]
+	for i, wi := range w {
+		if wi > 0 {
+			rows = append(rows, sample{row: int32(i), class: int32(b.cols.y[i]), weight: wi})
+		}
+	}
+	b.rows = rows
+	root := b.build(rows, 0)
+	return &Tree{Root: root, Classes: b.cols.classes, importance: b.importance}
+}
+
+// counts returns the node's per-class weights and their total.
+func (b *treeBuilder) counts(rows []sample) ([]int, int) {
+	c := make([]int, b.cols.classes)
+	n := 0
+	for _, s := range rows {
+		c[s.class] += int(s.weight)
+		n += int(s.weight)
+	}
+	return c, n
 }
 
 func gini(counts []int, total int) float64 {
@@ -141,93 +242,158 @@ func pure(counts []int) bool {
 	return nonzero <= 1
 }
 
-func (b *treeBuilder) build(idx []int, depth int) *Node {
-	counts := b.counts(idx)
-	if pure(counts) || len(idx) < 2*b.cfg.MinLeaf ||
+// build grows the subtree over rows, partitioning rows in place: the
+// left child gets its prefix, the right child the rest, each still in
+// ascending row order so the rank-column reads stay sequential. Nodes
+// are visited in pre-order, left before right, which fixes the rng
+// draws and the order importance is summed in.
+func (b *treeBuilder) build(rows []sample, depth int) *Node {
+	counts, n := b.counts(rows)
+	if pure(counts) || n < 2*b.cfg.MinLeaf ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
 		return &Node{Leaf: true, Counts: counts}
 	}
-	feat, thr, gain, ok := b.bestSplit(idx, counts)
+	feat, thr, gain, ok := b.bestSplit(rows, counts, n)
 	if !ok {
 		return &Node{Leaf: true, Counts: counts}
 	}
-	var left, right []int
-	for _, i := range idx {
-		if b.X[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) < b.cfg.MinLeaf || len(right) < b.cfg.MinLeaf {
+	k, nLeft := b.partition(rows, feat, thr)
+	if nLeft < b.cfg.MinLeaf || n-nLeft < b.cfg.MinLeaf {
 		return &Node{Leaf: true, Counts: counts}
 	}
-	b.importance[feat] += gain * float64(len(idx))
+	b.importance[feat] += gain * float64(n)
 	return &Node{
 		Feature:   feat,
 		Threshold: thr,
-		Left:      b.build(left, depth+1),
-		Right:     b.build(right, depth+1),
+		Left:      b.build(rows[:k], depth+1),
+		Right:     b.build(rows[k:], depth+1),
 	}
 }
 
+// partition stably moves the rows whose feat value is ≤ thr to the
+// front. It returns how many rows moved and their total weight.
+func (b *treeBuilder) partition(rows []sample, feat int, thr float64) (k, nLeft int) {
+	dict, rank := b.cols.dict[feat], b.cols.rank[feat]
+	right := b.spill[:0]
+	for _, s := range rows {
+		if dict[rank[s.row]] <= thr {
+			rows[k] = s
+			k++
+			nLeft += int(s.weight)
+		} else {
+			right = append(right, s)
+		}
+	}
+	copy(rows[k:], right)
+	b.spill = right
+	return k, nLeft
+}
+
 // bestSplit searches a random feature subset for the threshold maximizing
-// Gini gain.
-func (b *treeBuilder) bestSplit(idx []int, parentCounts []int) (feat int, thr float64, gain float64, ok bool) {
-	d := len(b.X[0])
+// Gini gain. Per feature, one pass over the node builds a rank×class
+// histogram; the candidate thresholds are the midpoints between the
+// node's distinct values (quantile-subsampled past MaxThresholds), and a
+// sweep over the present ranks in ascending order gives each threshold's
+// left-hand counts. A rank goes left when its dictionary value is ≤ the
+// threshold — the same test the tree applies at prediction time — so a
+// midpoint that rounds onto one of its neighbours splits exactly as it
+// will be walked.
+func (b *treeBuilder) bestSplit(rows []sample, parentCounts []int, n int) (feat int, thr float64, gain float64, ok bool) {
+	d := len(b.cols.dict)
 	nFeat := b.cfg.MaxFeatures
 	if nFeat <= 0 || nFeat > d {
 		nFeat = d
 	}
 	featOrder := b.rng.Perm(d)[:nFeat]
 
-	parentGini := gini(parentCounts, len(idx))
+	parentGini := gini(parentCounts, n)
 	bestGain := 1e-12
 	found := false
 
-	vals := make([]float64, 0, len(idx))
+	classes := b.cols.classes
+	hist, rankN := b.hist, b.rankN
+	left, right := b.left, b.right
 	for _, f := range featOrder {
-		vals = vals[:0]
-		for _, i := range idx {
-			vals = append(vals, b.X[i][f])
+		dict, rank := b.cols.dict[f], b.cols.rank[f]
+		if len(dict) < 2 {
+			continue // constant in the whole training set
 		}
-		sort.Float64s(vals)
-		if vals[0] == vals[len(vals)-1] {
-			continue // constant feature on this node
-		}
-		thresholds := candidateThresholds(vals, b.cfg.MaxThresholds)
-		for _, t := range thresholds {
-			leftCounts := make([]int, b.classes)
-			nLeft := 0
-			for _, i := range idx {
-				if b.X[i][f] <= t {
-					leftCounts[b.y[i]]++
-					nLeft++
+		present := b.present[:0]
+		if len(dict) <= len(rows) {
+			// Few values for the node's size: count blind, then find the
+			// present ranks by walking the whole dictionary.
+			for _, s := range rows {
+				hist[int(rank[s.row])*classes+int(s.class)] += int(s.weight)
+			}
+			for r := range dict {
+				n := 0
+				for _, v := range hist[r*classes : (r+1)*classes] {
+					n += v
+				}
+				if n > 0 {
+					present = append(present, int32(r))
+					rankN[r] = n
 				}
 			}
-			nRight := len(idx) - nLeft
+		} else {
+			for _, s := range rows {
+				r := rank[s.row]
+				if rankN[r] == 0 {
+					present = append(present, r)
+				}
+				rankN[r] += int(s.weight)
+				hist[int(r)*classes+int(s.class)] += int(s.weight)
+			}
+			slices.Sort(present)
+		}
+		vals := b.vals[:0]
+		for _, r := range present {
+			vals = append(vals, dict[r])
+		}
+		b.thresholds = candidateThresholds(b.thresholds[:0], vals, b.cfg.MaxThresholds)
+
+		// Midpoints of ascending values are non-decreasing (rounding is
+		// monotone), so the sweep only moves forward. The one NaN midpoint
+		// possible, between a lone -Inf and +Inf, is the only threshold
+		// and correctly sends nothing left.
+		clear(left)
+		nLeft, p := 0, 0
+		for _, t := range b.thresholds {
+			for ; p < len(vals) && vals[p] <= t; p++ {
+				r := int(present[p])
+				nLeft += rankN[r]
+				for c := range left {
+					left[c] += hist[r*classes+c]
+				}
+			}
+			nRight := n - nLeft
 			if nLeft == 0 || nRight == 0 {
 				continue
 			}
-			rightCounts := make([]int, b.classes)
-			for c := range rightCounts {
-				rightCounts[c] = parentCounts[c] - leftCounts[c]
+			for c := range right {
+				right[c] = parentCounts[c] - left[c]
 			}
 			g := parentGini -
-				(float64(nLeft)*gini(leftCounts, nLeft)+
-					float64(nRight)*gini(rightCounts, nRight))/float64(len(idx))
+				(float64(nLeft)*gini(left, nLeft)+
+					float64(nRight)*gini(right, nRight))/float64(n)
 			if g > bestGain {
 				bestGain, feat, thr, found = g, f, t, true
 			}
 		}
+
+		for _, r := range present {
+			rankN[r] = 0
+			clear(hist[int(r)*classes : int(r+1)*classes])
+		}
+		b.present, b.vals = present, vals
 	}
 	return feat, thr, bestGain, found
 }
 
-// candidateThresholds returns midpoints between distinct sorted values,
-// subsampled to at most k via quantiles.
-func candidateThresholds(sorted []float64, k int) []float64 {
-	var mids []float64
+// candidateThresholds appends to dst the midpoints between distinct
+// values of sorted, subsampled to at most k via quantiles.
+func candidateThresholds(dst, sorted []float64, k int) []float64 {
+	mids := dst[:0]
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] != sorted[i-1] {
 			mids = append(mids, (sorted[i]+sorted[i-1])/2)
@@ -236,11 +402,13 @@ func candidateThresholds(sorted []float64, k int) []float64 {
 	if len(mids) <= k {
 		return mids
 	}
-	out := make([]float64, 0, k)
+	// In place: entry i reads index i*(m-1)/(k-1) ≥ i, which no earlier
+	// write has touched.
+	m := len(mids)
 	for i := 0; i < k; i++ {
-		out = append(out, mids[i*(len(mids)-1)/(k-1)])
+		mids[i] = mids[i*(m-1)/(k-1)]
 	}
-	return out
+	return mids[:k]
 }
 
 // PredictCounts returns the training-sample class histogram at the leaf x

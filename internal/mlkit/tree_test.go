@@ -91,6 +91,12 @@ func TestTreeValidation(t *testing.T) {
 	if _, err := TrainTree([][]float64{{1}, {2}}, []int{0, 5}, 2, TreeConfig{}); err != ErrBadTrainingData {
 		t.Error("out-of-range label accepted")
 	}
+	if _, err := TrainTree([][]float64{{1}, {2}}, []int{-1, 0}, 2, TreeConfig{}); err != ErrBadTrainingData {
+		t.Error("negative label accepted")
+	}
+	if _, err := TrainTree([][]float64{{1, 0}, {math.NaN(), 1}}, []int{0, 1}, 2, TreeConfig{}); err != ErrBadTrainingData {
+		t.Error("NaN feature accepted")
+	}
 }
 
 func TestTreePureLeaf(t *testing.T) {
@@ -193,7 +199,7 @@ func TestCandidateThresholdsCap(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	ths := candidateThresholds(vals, 32)
+	ths := candidateThresholds(nil, vals, 32)
 	if len(ths) != 32 {
 		t.Errorf("threshold cap: %d", len(ths))
 	}
@@ -202,7 +208,7 @@ func TestCandidateThresholdsCap(t *testing.T) {
 			t.Fatal("thresholds not increasing")
 		}
 	}
-	few := candidateThresholds([]float64{1, 2, 3}, 32)
+	few := candidateThresholds(nil, []float64{1, 2, 3}, 32)
 	if len(few) != 2 {
 		t.Errorf("small input thresholds: %v", few)
 	}

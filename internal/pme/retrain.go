@@ -201,6 +201,9 @@ func (r *Retrainer) train(ctx context.Context, base *Snapshot, trainable []Contr
 		return nil, fmt.Errorf("pme: discretizing contributed prices: %w", err)
 	}
 	y := binner.Labels(prices)
+	// One worker (Workers left 0): a retrain runs beside live estimate
+	// traffic on the same CPUs, and fanning its trees out would take
+	// them from serving reads to shave a sub-second background job.
 	fcfg := mlkit.ForestConfig{
 		Trees:    r.cfg.ForestSize,
 		Seed:     r.cfg.Seed + int64(base.Version),

@@ -133,9 +133,11 @@ func WithObservability(r *obs.Registry) Option {
 
 // WithWorkers caps the goroutines the sharded stages run: trace
 // generation (GenerateTrace's parallel per-user driver, whose reorder
-// window holds ~2×n user traces) and per-user cost estimation (batch
-// and streaming). The default is GOMAXPROCS. Stage outputs are
-// bit-identical at any worker count.
+// window holds ~2×n user traces), model training (TrainModel builds
+// each forest's trees — the cross-validation folds' and the final
+// one's — on n goroutines, one fold after another) and per-user cost
+// estimation (batch and streaming). The default is GOMAXPROCS. Stage
+// outputs are bit-identical at any worker count.
 func WithWorkers(n int) Option {
 	return func(p *Pipeline) { p.workers = n }
 }
@@ -339,6 +341,7 @@ func (p *Pipeline) TrainModel(ctx context.Context, res *analyzer.Result, camps *
 	var model *core.Model
 	err := p.runStage(ctx, StageTrainModel, func() error {
 		pme := core.NewPME(p.cfg.Seed + 4)
+		pme.Workers = p.workers
 		if p.cfg.ForestSize > 0 {
 			pme.ForestSize = p.cfg.ForestSize
 		}
