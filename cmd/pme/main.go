@@ -24,7 +24,7 @@
 //
 //	pme [-listen :8700] [-scale 0.05] [-per-setup 60] [-seed 1] [-once]
 //	    [-retrain-count 500] [-retrain-interval 30s] [-rate 0] [-burst 256]
-//	    [-batch-max 256] [-batch-window 250us] [-quantized]
+//	    [-batch-max 256] [-batch-window 250us]
 //	    [-store redis://127.0.0.1:6379] [-replica-id pme-1] [-lease-ttl 10s]
 //	    [-pprof] [-trace-spans 0] [-log-requests]
 //
@@ -73,7 +73,6 @@ func main() {
 	burst := flag.Int("burst", 256, "token-bucket burst capacity")
 	batchMax := flag.Int("batch-max", pme.DefaultBatchMaxRows, "inference batcher flush threshold in rows (0 disables cross-request batching; note obscheck's default families expect it on)")
 	batchWindow := flag.Duration("batch-window", pme.DefaultBatchWindow, "inference batcher deadline: max queue wait when all flush slots are busy")
-	quantized := flag.Bool("quantized", false, "route forest walks through the 8-byte-node quantized engine (bit-identical; halves the traversal working set)")
 	storeURL := flag.String("store", "", "shared persistence store URL (redis://host:port or mem://); empty = single-process in-memory")
 	replicaID := flag.String("replica-id", "", "stable replica identity for fleet leases and logs (default: random)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "fleet retrain-lease TTL (renewed at a third of it)")
@@ -144,18 +143,11 @@ func main() {
 			pmeserver.WithRegistry(registry),
 			pmeserver.WithObsRegistry(telemetry),
 		}
-		var coreOpts []pme.CoreOption
 		if *batchMax > 0 {
-			coreOpts = append(coreOpts, pme.WithBatcher(pme.BatcherConfig{
+			opts = append(opts, pmeserver.WithCoreOptions(pme.WithBatcher(pme.BatcherConfig{
 				MaxBatch: *batchMax,
 				MaxWait:  *batchWindow,
-			}))
-		}
-		if *quantized {
-			coreOpts = append(coreOpts, pme.WithQuantizedInference())
-		}
-		if len(coreOpts) > 0 {
-			opts = append(opts, pmeserver.WithCoreOptions(coreOpts...))
+			})))
 		}
 		if fleet {
 			// Contributions pool in the shared store, and readiness

@@ -11,7 +11,6 @@ import (
 	"yourandvalue/internal/analyzer"
 	"yourandvalue/internal/geoip"
 	"yourandvalue/internal/iab"
-	"yourandvalue/internal/mlkit"
 	"yourandvalue/internal/nurl"
 	"yourandvalue/internal/trafficclass"
 	"yourandvalue/internal/useragent"
@@ -202,24 +201,17 @@ func BatchEstimate(res *analyzer.Result, model *Model) map[int]*UserCost {
 	return out
 }
 
-// estimateChunk is the batch estimator's flush size: large enough that
-// the tree-major batch walk amortizes the forest across many vectors,
-// small enough that one worker's scratch matrix stays L2-resident.
-const estimateChunk = 128
-
 // batchEstimator is one worker's reusable estimate scratch: encrypted
-// impressions are encoded into a fixed row matrix and classified in
-// chunks through the flat forest's tree-major PredictInto, with the
-// per-class representative CPMs precomputed. Accumulation happens in
-// stream order at each flush, so totals are bit-identical to the
-// impression-at-a-time path. Not safe for concurrent use — each worker
-// owns one.
+// impressions are encoded into a fixed row matrix and estimated
+// EstimateChunk at a time through Model.EstimateRowsInto. Accumulation
+// happens in stream order at each flush, so totals are bit-identical to
+// the impression-at-a-time path. Not safe for concurrent use — each
+// worker owns one.
 type batchEstimator struct {
 	model *Model
-	flat  *mlkit.FlatForest
-	reps  []float64 // per-class representative CPM
 	rows  [][]float64
 	cls   []int
+	cpms  []float64
 	n     int // pending rows
 }
 
@@ -230,19 +222,15 @@ func newBatchEstimator(model *Model) *batchEstimator {
 		return nil
 	}
 	dim := model.Features.Dim()
-	backing := make([]float64, estimateChunk*dim)
+	backing := make([]float64, EstimateChunk*dim)
 	be := &batchEstimator{
 		model: model,
-		flat:  model.FlatForest(),
-		rows:  make([][]float64, estimateChunk),
-		cls:   make([]int, estimateChunk),
+		rows:  make([][]float64, EstimateChunk),
+		cls:   make([]int, EstimateChunk),
+		cpms:  make([]float64, EstimateChunk),
 	}
 	for i := range be.rows {
 		be.rows[i] = backing[i*dim : (i+1)*dim]
-	}
-	be.reps = make([]float64, be.flat.Classes)
-	for c := range be.reps {
-		be.reps[c] = model.Binner.Representative(c)
 	}
 	return be
 }
@@ -263,9 +251,9 @@ func (be *batchEstimator) flush(uc *UserCost) {
 	if be.n == 0 {
 		return
 	}
-	be.flat.PredictInto(be.cls[:be.n], be.rows[:be.n])
-	for _, c := range be.cls[:be.n] {
-		uc.EncryptedCPM += be.reps[c]
+	be.model.EstimateRowsInto(be.cpms, be.cls, be.rows[:be.n])
+	for _, cpm := range be.cpms[:be.n] {
+		uc.EncryptedCPM += cpm
 	}
 	be.n = 0
 }

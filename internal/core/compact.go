@@ -169,12 +169,6 @@ func DecodeCompactModel(blob []byte) (*Model, error) {
 		flatTree:   ft,
 	}
 	m.Features.rebuild()
-	if ff != nil {
-		// Quantize eagerly: blob-decoded models have no pointer forest to
-		// hang a lazy cache on, and a failed quantize (nil) just means the
-		// estimate paths stay on the flat engine.
-		m.quantForest, _ = ff.Quantize()
-	}
 	return m, nil
 }
 

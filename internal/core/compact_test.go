@@ -4,6 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
+	"time"
+
+	"yourandvalue/internal/mlkit"
+	"yourandvalue/internal/stats"
 )
 
 func TestCompactModelRoundTrip(t *testing.T) {
@@ -110,4 +114,82 @@ func TestEncodeCompactNeedsForest(t *testing.T) {
 	if _, err := m.EncodeCompact(); err == nil {
 		t.Error("forest-less model encoded")
 	}
+}
+
+// smallModel trains a deliberately small model — three shallow trees
+// over random S vectors — so a compact blob of it stays a few KB, a
+// size the fuzzer can mutate usefully.
+func smallModel(tb testing.TB) *Model {
+	tb.Helper()
+	feats := NewSFeatures(nil)
+	rng := stats.NewRand(5)
+	X := make([][]float64, 200)
+	prices := make([]float64, len(X))
+	for i := range X {
+		X[i] = make([]float64, feats.Dim())
+		for j := range X[i] {
+			if rng.Float64() < 0.2 {
+				X[i][j] = 1
+			}
+		}
+		prices[i] = 0.1 + rng.Float64()
+	}
+	binner, err := mlkit.NewBinner(prices, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	forest, err := mlkit.TrainForest(X, binner.Labels(prices), binner.Classes(),
+		mlkit.ForestConfig{Trees: 3, MaxDepth: 4, Seed: 6})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &Model{
+		Version:   3,
+		TrainedAt: time.Date(2016, 6, 15, 0, 0, 0, 0, time.UTC),
+		Features:  feats,
+		Binner:    binner,
+		Forest:    forest,
+		Tree:      forest.RepresentativeTree(X),
+		TimeShift: 1.25,
+	}
+}
+
+// FuzzDecodeCompactModel feeds arbitrary bytes to the compact decoder:
+// it must either reject them or return a model that estimates a zero S
+// vector without panicking and that re-encodes into a blob which
+// decodes again.
+func FuzzDecodeCompactModel(f *testing.F) {
+	blob, err := smallModel(f).EncodeCompact()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := DecodeCompactModel(blob); err != nil {
+		f.Fatal(err)
+	}
+	// The whole blob, then truncations at and around every section
+	// boundary: magic, version, header, forest, tree flag, tree.
+	hdrEnd := len(compactMagic) + 2 + 4 + int(binary.LittleEndian.Uint32(blob[len(compactMagic)+2:]))
+	forestEnd := hdrEnd + 4 + int(binary.LittleEndian.Uint32(blob[hdrEnd:]))
+	f.Add(blob)
+	for _, n := range []int{0, 3, 6, 9, hdrEnd - 1, hdrEnd, hdrEnd + 12, forestEnd, forestEnd + 1, forestEnd + 5, len(blob) - 1} {
+		f.Add(blob[:n])
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := DecodeCompactModel(b)
+		if err != nil {
+			return
+		}
+		zero := make([]float64, m.Features.Dim())
+		m.EstimateCPM(zero)
+		if m.FlatTree() != nil {
+			m.EstimateCPMTree(zero)
+		}
+		again, err := m.EncodeCompact()
+		if err != nil {
+			t.Fatalf("decoded model does not re-encode: %v", err)
+		}
+		if _, err := DecodeCompactModel(again); err != nil {
+			t.Fatalf("re-encoded model does not decode: %v", err)
+		}
+	})
 }

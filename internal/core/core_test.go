@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -352,6 +353,51 @@ func TestEstimateImpressionHelper(t *testing.T) {
 	if EstimateImpression(nil, f.res.Impressions[0]) != 0 &&
 		f.res.Impressions[0].Encrypted() {
 		t.Error("nil model should estimate 0")
+	}
+}
+
+// TestBatchEstimateChunkBoundary gives one user more encrypted
+// impressions than two EstimateChunk flushes hold, interleaved with
+// cleartext ones, beside a second short user: the tally must equal the
+// in-order sum of EstimateImpression bit for bit at any worker count.
+func TestBatchEstimateChunkBoundary(t *testing.T) {
+	f := pipeline(t)
+	var (
+		imps  []analyzer.Impression
+		want  [2]float64
+		count [2]int
+	)
+	for _, imp := range f.res.Impressions {
+		u := 0
+		if count[0] > 2*EstimateChunk {
+			u = 1
+			if count[1] == 40 {
+				break
+			}
+		}
+		imp.UserID = u
+		if imp.Encrypted() {
+			want[u] += EstimateImpression(f.model, imp)
+			count[u]++
+		}
+		imps = append(imps, imp)
+	}
+	if count[1] != 40 {
+		t.Fatalf("fixture has too few encrypted impressions: %v", count)
+	}
+	res := &analyzer.Result{Impressions: imps}
+	for _, workers := range []int{1, 2} {
+		costs, err := BatchEstimateContext(context.Background(), res, f.model, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := range want {
+			uc := costs[u]
+			if uc.EncryptedCount != count[u] || math.Float64bits(uc.EncryptedCPM) != math.Float64bits(want[u]) {
+				t.Errorf("workers=%d user %d: %d impressions summing to %v, want %d summing to %v",
+					workers, u, uc.EncryptedCount, uc.EncryptedCPM, count[u], want[u])
+			}
+		}
 	}
 }
 

@@ -39,11 +39,6 @@ type Model struct {
 	// stale flat form.
 	flatForest *mlkit.FlatForest
 	flatTree   *mlkit.FlatForest
-	// quantForest is the eagerly quantized engine of a compact-blob
-	// decode (models with a pointer Forest cache theirs on the forest,
-	// see QuantizedForest). A plain pointer, so CloneWithVersion's
-	// struct copy shares it safely.
-	quantForest *mlkit.QuantizedForest
 }
 
 // ModelMetrics is the §5.4 metric bundle in serializable form.
@@ -82,18 +77,6 @@ func (m *Model) FlatForest() *mlkit.FlatForest {
 	return m.flatForest
 }
 
-// QuantizedForest returns the model's 8-byte-per-node inference
-// engine, or nil when the forest is outside the quantized encoding's
-// exact range (callers stay on FlatForest; predictions are
-// bit-identical either way). Cached on the pointer forest like Flat;
-// compact-blob decodes quantize eagerly at decode time.
-func (m *Model) QuantizedForest() *mlkit.QuantizedForest {
-	if m.Forest != nil {
-		return m.Forest.Quantized()
-	}
-	return m.quantForest
-}
-
 // FlatTree is FlatForest for the representative single tree.
 func (m *Model) FlatTree() *mlkit.FlatForest {
 	if m.Tree != nil {
@@ -108,6 +91,24 @@ func (m *Model) FlatTree() *mlkit.FlatForest {
 // magnitude cheaper).
 func (m *Model) EstimateCPM(x []float64) float64 {
 	return m.Binner.Representative(m.FlatForest().Predict(x))
+}
+
+// EstimateChunk is the row count every batch estimate path encodes
+// and classifies at a time: large enough that the tree-major walk
+// amortizes the forest across many vectors, small enough that one
+// caller's encode matrix stays cache-resident.
+const EstimateChunk = 256
+
+// EstimateRowsInto estimates every encoded S vector of rows into
+// dst[:len(rows)] through one tree-major FlatForest walk, using
+// cls[:len(rows)] as the class scratch. Row for row it equals
+// EstimateCPM. dst and cls must have length >= len(rows).
+func (m *Model) EstimateRowsInto(dst []float64, cls []int, rows [][]float64) {
+	cls = cls[:len(rows)]
+	m.FlatForest().PredictInto(cls, rows)
+	for i, c := range cls {
+		dst[i] = m.Binner.Representative(c)
+	}
 }
 
 // EstimateCPMTree is the single-tree variant clients can run when the

@@ -63,7 +63,6 @@ type Forest struct {
 	oobError   float64
 	importance []float64
 	flat       flatOnce
-	quant      quantOnce
 }
 
 // TrainForest trains a random forest on X with labels y in [0, classes).

@@ -10,7 +10,6 @@ import (
 
 	"yourandvalue/internal/core"
 	"yourandvalue/internal/hist"
-	"yourandvalue/internal/mlkit"
 )
 
 // Batcher coalesces concurrent estimate requests into shared tree-major
@@ -50,8 +49,7 @@ import (
 //
 // All methods are safe for concurrent use.
 type Batcher struct {
-	cfg   BatcherConfig
-	quant bool // route flushes through the quantized engine when available
+	cfg BatcherConfig
 
 	// slots holds one token per permitted concurrent flush; a flush runs
 	// on whichever goroutine acquired the token (enqueuing caller, the
@@ -88,11 +86,11 @@ type BatcherConfig struct {
 	Workers int
 }
 
-// Batching defaults: 256 rows matches the session path's encode-chunk
-// size (one full tree-major walk), 250µs is far below any request SLO
-// yet long enough to coalesce a burst at high concurrency.
+// Batching defaults: core.EstimateChunk rows is one full tree-major
+// walk of the session path, 250µs is far below any request SLO yet long
+// enough to coalesce a burst at high concurrency.
 const (
-	DefaultBatchMaxRows = 256
+	DefaultBatchMaxRows = core.EstimateChunk
 	DefaultBatchWindow  = 250 * time.Microsecond
 )
 
@@ -202,13 +200,7 @@ func (b *Batcher) estimate(ctx context.Context, snap *Snapshot, dst []float64, i
 	req := getReq(n, m.Features.Dim())
 	req.snap = snap
 	for i := range items {
-		it := &items[i]
-		hour, weekday := it.timeFeatures()
-		m.Features.EncodeStringsInto(req.rows[i], core.StringContext{
-			ADX: it.ADX, City: it.City, OS: it.OS, Device: it.Device,
-			Origin: it.Origin, Slot: it.Slot, IAB: it.IAB,
-			Hour: hour, Weekday: weekday,
-		})
+		items[i].encodeInto(req.rows[i], m.Features)
 	}
 	req.enq = time.Now()
 	if err := b.enqueue(req); err != nil {
@@ -339,11 +331,11 @@ func (b *Batcher) flush(reqs []*batchReq, rows int, reason flushReason) {
 }
 
 // flushScratch recycles one flush's merged matrix, class buffer and
-// representative table.
+// merged CPMs.
 type flushScratch struct {
 	rows [][]float64
 	cls  []int
-	reps []float64
+	cpms []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(flushScratch) }}
@@ -354,49 +346,21 @@ func (b *Batcher) flushGroup(snap *Snapshot, group []*batchReq) {
 	for _, r := range group {
 		merged = append(merged, r.rows...)
 	}
-	n := len(merged)
-	if cap(sc.cls) < n {
+	if n := len(merged); cap(sc.cls) < n {
 		sc.cls = make([]int, n)
+		sc.cpms = make([]float64, n)
 	}
-	cls := sc.cls[:n]
+	snap.Model.EstimateRowsInto(sc.cpms, sc.cls, merged)
 
-	m := snap.Model
-	eng := b.engine(m)
-	eng.PredictInto(cls, merged)
-
-	classes := eng.NumClasses()
-	if cap(sc.reps) < classes {
-		sc.reps = make([]float64, classes)
-	}
-	reps := sc.reps[:classes]
-	for c := range reps {
-		reps[c] = m.Binner.Representative(c)
-	}
-
-	off := 0
+	cpms := sc.cpms
 	for _, r := range group {
-		for i := range r.rows {
-			r.out[i] = reps[cls[off]]
-			off++
-		}
+		cpms = cpms[copy(r.out, cpms):]
 		close(r.done)
 		r.release()
 	}
 
-	sc.rows, sc.cls, sc.reps = merged[:0], cls[:0], reps[:0]
+	sc.rows = merged[:0]
 	scratchPool.Put(sc)
-}
-
-// engine picks the forest walk for one snapshot: the quantized form
-// when routing is enabled and the model is exactly representable, else
-// the flat form. Predictions are bit-identical either way.
-func (b *Batcher) engine(m *core.Model) mlkit.BatchClassifier {
-	if b.quant {
-		if qf := m.QuantizedForest(); qf != nil {
-			return qf
-		}
-	}
-	return m.FlatForest()
 }
 
 // Close stops accepting work, drains everything already queued (every

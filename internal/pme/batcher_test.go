@@ -451,42 +451,6 @@ func TestSetMaxBatchConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestQuantizedRoutingEquivalence pins the opt-in knob end to end: the
-// trained model is exactly representable in the quantized encoding,
-// and a quantized-routed core (batched and unbatched) estimates
-// bit-identically to the flat path.
-func TestQuantizedRoutingEquivalence(t *testing.T) {
-	m := testModel(t)
-	if m.QuantizedForest() == nil {
-		t.Fatal("trained model did not quantize; binned-feature thresholds should always be float32-exact")
-	}
-	items := flatItems(123)
-	want := directEstimates(m, items)
-
-	ctx := context.Background()
-	for _, batched := range []bool{false, true} {
-		opts := []CoreOption{WithQuantizedInference()}
-		if batched {
-			opts = append(opts, WithBatcher(BatcherConfig{MaxBatch: 32}))
-		}
-		reg := NewRegistry()
-		svc := NewCore(reg, NewPool(0), opts...)
-		if _, err := reg.Publish(m); err != nil {
-			t.Fatal(err)
-		}
-		res, err := svc.EstimateBatch(ctx, items)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range want {
-			if res.EstimatesCPM[j] != want[j] {
-				t.Fatalf("batched=%v item %d: quantized %v, flat %v", batched, j, res.EstimatesCPM[j], want[j])
-			}
-		}
-		_ = svc.Close()
-	}
-}
-
 // BenchmarkBatcher compares goroutine-per-request EstimateBatch
 // against the same traffic through the cross-request batcher, at
 // concurrency 1 and 8. Sub-benchmark names avoid a trailing numeric
@@ -532,13 +496,5 @@ func BenchmarkBatcher(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("batched-c%d", conc), func(b *testing.B) { run(b, batched, conc) })
 		batched.Close()
-
-		qreg := NewRegistry()
-		quant := NewCore(qreg, NewPool(0), WithBatcher(BatcherConfig{}), WithQuantizedInference())
-		if _, err := qreg.Publish(m); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("batched-quant-c%d", conc), func(b *testing.B) { run(b, quant, conc) })
-		quant.Close()
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"yourandvalue/internal/core"
-	"yourandvalue/internal/mlkit"
 )
 
 // DefaultMaxBatch bounds one EstimateBatch call; unbounded workloads
@@ -19,11 +18,10 @@ const DefaultMaxBatch = 4096
 // fronted by a cross-request inference Batcher. Safe for concurrent
 // use.
 type Core struct {
-	registry  *Registry
-	pool      PoolBackend
-	maxBatch  atomic.Int64
-	batcher   *Batcher
-	quantized bool
+	registry *Registry
+	pool     PoolBackend
+	maxBatch atomic.Int64
+	batcher  *Batcher
 }
 
 // CoreOption configures a Core at construction.
@@ -34,15 +32,6 @@ type CoreOption func(*Core)
 // bit-identical to the unbatched path.
 func WithBatcher(cfg BatcherConfig) CoreOption {
 	return func(c *Core) { c.batcher = newBatcher(cfg) }
-}
-
-// WithQuantizedInference routes forest walks through the 8-byte-node
-// mlkit.QuantizedForest when the model is exactly representable in it
-// (always true for the binned features this repo trains on), halving
-// the traversal working set. Predictions are bit-identical; models
-// outside the exact range silently stay on the flat engine.
-func WithQuantizedInference() CoreOption {
-	return func(c *Core) { c.quantized = true }
 }
 
 // NewCore builds the service over a registry and a contribution pool
@@ -58,9 +47,6 @@ func NewCore(reg *Registry, pool PoolBackend, opts ...CoreOption) *Core {
 	c.maxBatch.Store(DefaultMaxBatch)
 	for _, o := range opts {
 		o(c)
-	}
-	if c.batcher != nil {
-		c.batcher.quant = c.quantized
 	}
 	return c
 }
@@ -147,11 +133,7 @@ func (c *Core) OpenEstimateSession(ctx context.Context) (*EstimateSession, error
 	}
 	// vec is allocated lazily by Estimate: batched chunk estimates never
 	// touch it.
-	return &EstimateSession{
-		snap:  snap,
-		b:     c.batcher,
-		quant: c.quantized,
-	}, nil
+	return &EstimateSession{snap: snap, b: c.batcher}, nil
 }
 
 // Contribute implements Service.
@@ -169,100 +151,53 @@ func (c *Core) Contribute(ctx context.Context, batch []Contribution) (Contribute
 // items flow through, and a concurrent registry hot-swap never changes
 // the version mid-stream. Not safe for concurrent use.
 type EstimateSession struct {
-	snap  *Snapshot
-	vec   []float64
-	b     *Batcher
-	quant bool
+	snap *Snapshot
+	vec  []float64
+	b    *Batcher
 
-	// eng is the forest walk the session settled on (flat, or quantized
-	// when routed and representable), resolved once per session.
-	eng mlkit.BatchClassifier
-
-	// Batch scratch (EstimateInto), built on first use: an encode matrix
-	// flushed chunk-at-a-time through the engine's tree-major walk,
-	// plus the per-class representative CPMs.
+	// Batch scratch (EstimateInto): an encode matrix and its class
+	// buffer, sized to the largest chunk the session has estimated so
+	// far (at most core.EstimateChunk rows).
 	rows [][]float64
 	cls  []int
-	reps []float64
 }
 
 // Snapshot returns the pinned model snapshot.
 func (s *EstimateSession) Snapshot() *Snapshot { return s.snap }
 
-// engine resolves the session's forest walk once: quantized when
-// routing is on and the pinned model is exactly representable, flat
-// otherwise. Bit-identical either way.
-func (s *EstimateSession) engine() mlkit.BatchClassifier {
-	if s.eng == nil {
-		m := s.snap.Model
-		if s.quant {
-			if qf := m.QuantizedForest(); qf != nil {
-				s.eng = qf
-			}
-		}
-		if s.eng == nil {
-			s.eng = m.FlatForest()
-		}
-	}
-	return s.eng
-}
-
 // Estimate encodes one item into the reused scratch vector through the
 // shared zero-allocation detect.Encoder path and returns its CPM.
 func (s *EstimateSession) Estimate(it *EstimateItem) float64 {
-	hour, weekday := it.timeFeatures()
 	m := s.snap.Model
 	if s.vec == nil {
 		s.vec = make([]float64, m.Features.Dim())
 	}
-	m.Features.EncodeStringsInto(s.vec, core.StringContext{
-		ADX: it.ADX, City: it.City, OS: it.OS, Device: it.Device,
-		Origin: it.Origin, Slot: it.Slot, IAB: it.IAB,
-		Hour: hour, Weekday: weekday,
-	})
-	return m.Binner.Representative(s.engine().Predict(s.vec))
+	it.encodeInto(s.vec, m.Features)
+	return m.EstimateCPM(s.vec)
 }
 
-// estimateBatchChunk bounds EstimateInto's encode matrix: items are
-// classified in chunks of this many through one tree-major batch walk.
-const estimateBatchChunk = 256
-
-// EstimateInto estimates every item into dst[:len(items)], encoding a
-// chunk of items and classifying the whole chunk through the forest
-// engine's batch path — item-for-item identical to Estimate, but the
-// forest is walked tree-major across the chunk instead of being
+// EstimateInto estimates every item into dst[:len(items)], encoding up
+// to core.EstimateChunk items at a time and estimating each chunk with
+// one Model.EstimateRowsInto — item-for-item identical to Estimate, but
+// the forest is walked tree-major across the chunk instead of being
 // re-fetched per item. dst must have length >= len(items).
 func (s *EstimateSession) EstimateInto(dst []float64, items []EstimateItem) {
 	m := s.snap.Model
-	eng := s.engine()
-	if s.rows == nil {
+	if need := min(len(items), core.EstimateChunk); need > len(s.rows) {
 		dim := m.Features.Dim()
-		backing := make([]float64, estimateBatchChunk*dim)
-		s.rows = make([][]float64, estimateBatchChunk)
+		backing := make([]float64, need*dim)
+		s.rows = make([][]float64, need)
 		for i := range s.rows {
 			s.rows[i] = backing[i*dim : (i+1)*dim]
 		}
-		s.cls = make([]int, estimateBatchChunk)
-		s.reps = make([]float64, eng.NumClasses())
-		for c := range s.reps {
-			s.reps[c] = m.Binner.Representative(c)
-		}
+		s.cls = make([]int, need)
 	}
-	for base := 0; base < len(items); base += estimateBatchChunk {
-		k := min(estimateBatchChunk, len(items)-base)
-		for i := 0; i < k; i++ {
-			it := &items[base+i]
-			hour, weekday := it.timeFeatures()
-			m.Features.EncodeStringsInto(s.rows[i], core.StringContext{
-				ADX: it.ADX, City: it.City, OS: it.OS, Device: it.Device,
-				Origin: it.Origin, Slot: it.Slot, IAB: it.IAB,
-				Hour: hour, Weekday: weekday,
-			})
+	for base := 0; base < len(items); base += len(s.rows) {
+		rows := s.rows[:min(len(s.rows), len(items)-base)]
+		for i, row := range rows {
+			items[base+i].encodeInto(row, m.Features)
 		}
-		eng.PredictInto(s.cls[:k], s.rows[:k])
-		for i := 0; i < k; i++ {
-			dst[base+i] = s.reps[s.cls[i]]
-		}
+		m.EstimateRowsInto(dst[base:], s.cls, rows)
 	}
 }
 

@@ -87,6 +87,55 @@ func TestEstimateIntoMatchesEstimate(t *testing.T) {
 			t.Fatalf("item %d: batch %v, per-item %v", i, res.EstimatesCPM[i], want)
 		}
 	}
+
+	// Around the chunk boundary, through fresh sessions and through one
+	// warm session whose scratch grows from one row to a full chunk and
+	// is then reused by smaller requests.
+	for _, n := range []int{1, 255, core.EstimateChunk, 257, 600, 1} {
+		fresh, err := svc.EstimateBatch(ctx, items[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]float64, n)
+		sess.EstimateInto(dst, items[:n])
+		for i := range dst {
+			want := res.EstimatesCPM[i]
+			if fresh.EstimatesCPM[i] != want || dst[i] != want {
+				t.Fatalf("n=%d item %d: batch %v, warm session %v, per-item %v",
+					n, i, fresh.EstimatesCPM[i], dst[i], want)
+			}
+		}
+	}
+}
+
+// TestEstimateIntoZeroAlloc pins the direct path's scratch contract: a
+// session's first EstimateInto sizes its encode matrix to the request,
+// never past core.EstimateChunk rows, and a warm session allocates
+// nothing.
+func TestEstimateIntoZeroAlloc(t *testing.T) {
+	m := testModel(t)
+	reg := NewRegistry()
+	if _, err := reg.Publish(m); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewCore(reg, NewPool(0)).OpenEstimateSession(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := flatItems(600)
+	dst := make([]float64, len(items))
+	for _, n := range []int{8, len(items)} {
+		sess.EstimateInto(dst, items[:n])
+		if want := min(n, core.EstimateChunk); len(sess.rows) != want {
+			t.Fatalf("%d-item request built %d scratch rows, want %d", n, len(sess.rows), want)
+		}
+		if raceEnabled {
+			continue
+		}
+		if a := testing.AllocsPerRun(20, func() { sess.EstimateInto(dst, items[:n]) }); a != 0 {
+			t.Errorf("warm %d-item EstimateInto: %v allocs/op, want 0", n, a)
+		}
+	}
 }
 
 // TestHotSwapServesFreshFlat guards the stale-cache hazard: after a

@@ -3,6 +3,8 @@ package pme
 import (
 	"errors"
 	"time"
+
+	"yourandvalue/internal/core"
 )
 
 // Contribution is one anonymous price observation a client donates. It
@@ -65,6 +67,18 @@ func (it *EstimateItem) timeFeatures() (hour, weekday int) {
 		return it.Observed.Hour(), int(it.Observed.Weekday())
 	}
 	return it.Hour, it.Weekday
+}
+
+// encodeInto writes the item's S vector under features f into dst —
+// the one translation from the wire item to core.StringContext that
+// every estimate path shares.
+func (it *EstimateItem) encodeInto(dst []float64, f *core.SFeatures) {
+	hour, weekday := it.timeFeatures()
+	f.EncodeStringsInto(dst, core.StringContext{
+		ADX: it.ADX, City: it.City, OS: it.OS, Device: it.Device,
+		Origin: it.Origin, Slot: it.Slot, IAB: it.IAB,
+		Hour: hour, Weekday: weekday,
+	})
 }
 
 // EstimateResult carries one CPM estimate per request item, in order,

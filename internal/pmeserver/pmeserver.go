@@ -162,8 +162,8 @@ func WithReadiness(fn func(ctx context.Context) error) Option {
 	}
 }
 
-// WithCoreOptions forwards options (pme.WithBatcher, pme.
-// WithQuantizedInference, ...) to the pme.Core the server constructs.
+// WithCoreOptions forwards options (pme.WithBatcher, ...) to the
+// pme.Core the server constructs.
 // Ignored when WithService injects a custom service.
 func WithCoreOptions(opts ...pme.CoreOption) Option {
 	return func(s *Server) { s.coreOpts = append(s.coreOpts, opts...) }

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"yourandvalue/internal/core"
 	"yourandvalue/internal/pme"
 )
 
@@ -32,13 +33,6 @@ const (
 	// streamFlushEvery flushes the response writer after this many
 	// items so long streams deliver results incrementally.
 	streamFlushEvery = 512
-	// streamChunkSize bounds how many parsed items are estimated per
-	// call: a full chunk matches the session walk's encode-matrix size,
-	// and when the service runs a cross-request batcher each chunk is
-	// one submission — a lone fat stream still flushes full batches
-	// immediately (size trigger) while only its sub-chunk tail can wait
-	// out the batch window.
-	streamChunkSize = 256
 )
 
 // streamLine is one NDJSON response line: exactly one of CPM, Error, or
@@ -83,8 +77,14 @@ func (s *Server) handleEstimateStreamV2(w http.ResponseWriter, r *http.Request) 
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 0, 4096), maxStreamLine)
 	var (
-		chunk = make([]pme.EstimateItem, 0, streamChunkSize)
-		cpms  = make([]float64, streamChunkSize)
+		// Parsed items are estimated core.EstimateChunk at a time: a full
+		// chunk matches the session walk's encode-matrix size, and when
+		// the service runs a cross-request batcher each chunk is one
+		// submission — a lone fat stream still flushes full batches
+		// immediately (size trigger) while only its sub-chunk tail can
+		// wait out the batch window.
+		chunk = make([]pme.EstimateItem, 0, core.EstimateChunk)
+		cpms  = make([]float64, core.EstimateChunk)
 		out   []byte // reused {"cpm":N}\n scratch
 		items int
 	)
@@ -135,7 +135,7 @@ func (s *Server) handleEstimateStreamV2(w http.ResponseWriter, r *http.Request) 
 			return
 		}
 		chunk = append(chunk, it)
-		if len(chunk) == streamChunkSize && !emit() {
+		if len(chunk) == core.EstimateChunk && !emit() {
 			return
 		}
 	}
