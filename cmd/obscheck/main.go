@@ -29,23 +29,16 @@ import (
 )
 
 // defaultRequired is the family set every served pme process exports:
-// model lifecycle, pool, per-route request series, the inference
-// batcher (on by default in cmd/pme; disabling it via -batch-max 0
-// needs an adjusted -require list), and the runtime collector. Retrain
-// series are also always registered (the retrainer starts with the
-// server), so their absence means lost instrumentation.
+// model lifecycle, pool, per-route request series, and the runtime
+// collector. Retrain series are also always registered (the retrainer
+// starts with the server), so their absence means lost
+// instrumentation.
 var defaultRequired = []string{
 	"pme_model_version",
 	"pme_model_publishes_total",
 	"pme_pool_depth",
 	"pme_http_requests_total",
 	"pme_http_request_duration_seconds",
-	"pme_batcher_queue_depth",
-	"pme_batcher_requests_total",
-	"pme_batcher_rows_total",
-	"pme_batcher_flushes_total",
-	"pme_batcher_flush_rows",
-	"pme_batcher_queue_wait_seconds",
 	"go_goroutines",
 	"process_uptime_seconds",
 }

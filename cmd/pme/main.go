@@ -24,7 +24,6 @@
 //
 //	pme [-listen :8700] [-scale 0.05] [-per-setup 60] [-seed 1] [-once]
 //	    [-retrain-count 500] [-retrain-interval 30s] [-rate 0] [-burst 256]
-//	    [-batch-max 256] [-batch-window 250us]
 //	    [-store redis://127.0.0.1:6379] [-replica-id pme-1] [-lease-ttl 10s]
 //	    [-pprof] [-trace-spans 0] [-log-requests]
 //
@@ -71,8 +70,6 @@ func main() {
 	retrainEvery := flag.Duration("retrain-interval", 30*time.Second, "how often the retrain trigger is checked")
 	rate := flag.Float64("rate", 0, "token-bucket request rate limit in req/s (0 = unlimited)")
 	burst := flag.Int("burst", 256, "token-bucket burst capacity")
-	batchMax := flag.Int("batch-max", pme.DefaultBatchMaxRows, "inference batcher flush threshold in rows (0 disables cross-request batching; note obscheck's default families expect it on)")
-	batchWindow := flag.Duration("batch-window", pme.DefaultBatchWindow, "inference batcher deadline: max queue wait when all flush slots are busy")
 	storeURL := flag.String("store", "", "shared persistence store URL (redis://host:port or mem://); empty = single-process in-memory")
 	replicaID := flag.String("replica-id", "", "stable replica identity for fleet leases and logs (default: random)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "fleet retrain-lease TTL (renewed at a third of it)")
@@ -142,12 +139,6 @@ func main() {
 		opts := []pmeserver.Option{
 			pmeserver.WithRegistry(registry),
 			pmeserver.WithObsRegistry(telemetry),
-		}
-		if *batchMax > 0 {
-			opts = append(opts, pmeserver.WithCoreOptions(pme.WithBatcher(pme.BatcherConfig{
-				MaxBatch: *batchMax,
-				MaxWait:  *batchWindow,
-			})))
 		}
 		if fleet {
 			// Contributions pool in the shared store, and readiness
@@ -254,9 +245,6 @@ func main() {
 	if err := hs.Shutdown(shCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		exitOn(err)
 	}
-	// Drain the inference batcher after the listener stops: queued
-	// estimates complete, later ones fall back to the direct walk.
-	_ = srv.Close()
 }
 
 // errBootstrapDone ends the lease loop once a model is available.

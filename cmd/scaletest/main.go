@@ -36,6 +36,7 @@ import (
 	"strings"
 	"time"
 
+	"yourandvalue/internal/obs/trace"
 	"yourandvalue/internal/pme"
 	"yourandvalue/internal/pmeserver"
 	"yourandvalue/internal/scaletest"
@@ -204,9 +205,9 @@ func run(o options) (int, error) {
 		return scaletest.ExitError, err
 	}
 
-	var tracer *scaletest.Tracer
+	var tracer *trace.Tracer
 	if o.traceOut != "" {
-		tracer = scaletest.NewTracer(0)
+		tracer = trace.NewTracer(0)
 	}
 
 	base := o.addr

@@ -2,8 +2,8 @@ package pme
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"yourandvalue/internal/core"
@@ -14,29 +14,17 @@ import (
 const DefaultMaxBatch = 4096
 
 // Core is the canonical Service implementation: a Registry for the
-// model lineage and a Pool for contributed observations, optionally
-// fronted by a cross-request inference Batcher. Safe for concurrent
-// use.
+// model lineage and a Pool for contributed observations. Safe for
+// concurrent use.
 type Core struct {
 	registry *Registry
 	pool     PoolBackend
 	maxBatch atomic.Int64
-	batcher  *Batcher
-}
-
-// CoreOption configures a Core at construction.
-type CoreOption func(*Core)
-
-// WithBatcher routes EstimateBatch and session chunk estimates through
-// a cross-request micro-batching scheduler (see Batcher). Results are
-// bit-identical to the unbatched path.
-func WithBatcher(cfg BatcherConfig) CoreOption {
-	return func(c *Core) { c.batcher = newBatcher(cfg) }
 }
 
 // NewCore builds the service over a registry and a contribution pool
 // backend (nil selects an in-process pool with the default bound).
-func NewCore(reg *Registry, pool PoolBackend, opts ...CoreOption) *Core {
+func NewCore(reg *Registry, pool PoolBackend, _ ...CoreOption) *Core {
 	if reg == nil {
 		reg = NewRegistry()
 	}
@@ -45,9 +33,6 @@ func NewCore(reg *Registry, pool PoolBackend, opts ...CoreOption) *Core {
 	}
 	c := &Core{registry: reg, pool: pool}
 	c.maxBatch.Store(DefaultMaxBatch)
-	for _, o := range opts {
-		o(c)
-	}
 	return c
 }
 
@@ -72,20 +57,6 @@ func (c *Core) Registry() *Registry { return c.registry }
 // Pool exposes the contribution pool backend for retrain-loop wiring.
 func (c *Core) Pool() PoolBackend { return c.pool }
 
-// Batcher returns the attached inference batcher, or nil when the core
-// runs unbatched.
-func (c *Core) Batcher() *Batcher { return c.batcher }
-
-// Close drains the attached batcher, if any: queued estimates complete
-// and later ones fall back to the direct per-session walk, so no
-// caller is ever stranded by shutdown.
-func (c *Core) Close() error {
-	if c.batcher != nil {
-		c.batcher.Close()
-	}
-	return nil
-}
-
 // ModelSnapshot implements Service.
 func (c *Core) ModelSnapshot(ctx context.Context) (*Snapshot, error) {
 	if err := ctx.Err(); err != nil {
@@ -98,11 +69,12 @@ func (c *Core) ModelSnapshot(ctx context.Context) (*Snapshot, error) {
 	return snap, nil
 }
 
+// sessionPool recycles EstimateBatch's sessions so a warm request
+// reuses an encode matrix and class buffer instead of allocating them.
+var sessionPool = sync.Pool{New: func() any { return new(EstimateSession) }}
+
 // EstimateBatch implements Service: every item is estimated against the
-// single snapshot resolved at entry. With a batcher attached the rows
-// join the shared submission queue and ride a merged tree-major walk;
-// without one (or after batcher shutdown) they run the session-local
-// chunk walk. Either way the results are bit-identical.
+// single snapshot resolved at entry, on a pooled session's chunk walk.
 func (c *Core) EstimateBatch(ctx context.Context, items []EstimateItem) (*EstimateResult, error) {
 	if len(items) == 0 {
 		return nil, ErrEmptyBatch
@@ -110,18 +82,20 @@ func (c *Core) EstimateBatch(ctx context.Context, items []EstimateItem) (*Estima
 	if maxB := c.MaxBatch(); len(items) > maxB {
 		return nil, &BatchTooLargeError{N: len(items), Max: maxB}
 	}
-	sess, err := c.OpenEstimateSession(ctx)
+	snap, err := c.ModelSnapshot(ctx)
 	if err != nil {
 		return nil, err
 	}
 	res := &EstimateResult{
-		Version:      sess.Snapshot().Version,
-		ETag:         sess.Snapshot().ETag,
+		Version:      snap.Version,
+		ETag:         snap.ETag,
 		EstimatesCPM: make([]float64, len(items)),
 	}
-	if err := sess.EstimateChunk(ctx, res.EstimatesCPM, items); err != nil {
-		return nil, err
-	}
+	sess := sessionPool.Get().(*EstimateSession)
+	sess.snap = snap
+	sess.EstimateInto(res.EstimatesCPM, items)
+	sess.snap = nil // a pooled session must not keep a retired model alive
+	sessionPool.Put(sess)
 	return res, nil
 }
 
@@ -131,9 +105,9 @@ func (c *Core) OpenEstimateSession(ctx context.Context) (*EstimateSession, error
 	if err != nil {
 		return nil, err
 	}
-	// vec is allocated lazily by Estimate: batched chunk estimates never
-	// touch it.
-	return &EstimateSession{snap: snap, b: c.batcher}, nil
+	// vec is allocated lazily by Estimate: chunk estimates never touch
+	// it.
+	return &EstimateSession{snap: snap}, nil
 }
 
 // Contribute implements Service.
@@ -153,11 +127,11 @@ func (c *Core) Contribute(ctx context.Context, batch []Contribution) (Contribute
 type EstimateSession struct {
 	snap *Snapshot
 	vec  []float64
-	b    *Batcher
 
 	// Batch scratch (EstimateInto): an encode matrix and its class
 	// buffer, sized to the largest chunk the session has estimated so
-	// far (at most core.EstimateChunk rows).
+	// far (at most core.EstimateChunk rows) and rebuilt when the pinned
+	// model's feature dimension differs from the matrix's.
 	rows [][]float64
 	cls  []int
 }
@@ -183,8 +157,9 @@ func (s *EstimateSession) Estimate(it *EstimateItem) float64 {
 // re-fetched per item. dst must have length >= len(items).
 func (s *EstimateSession) EstimateInto(dst []float64, items []EstimateItem) {
 	m := s.snap.Model
-	if need := min(len(items), core.EstimateChunk); need > len(s.rows) {
-		dim := m.Features.Dim()
+	dim := m.Features.Dim()
+	need := min(len(items), core.EstimateChunk)
+	if need > len(s.rows) || len(s.rows) > 0 && len(s.rows[0]) != dim {
 		backing := make([]float64, need*dim)
 		s.rows = make([][]float64, need)
 		for i := range s.rows {
@@ -199,22 +174,4 @@ func (s *EstimateSession) EstimateInto(dst []float64, items []EstimateItem) {
 		}
 		m.EstimateRowsInto(dst[base:], s.cls, rows)
 	}
-}
-
-// EstimateChunk estimates every item into dst[:len(items)] through the
-// core's cross-request batcher when one is attached — the rows
-// coalesce with concurrent callers' into shared walks against this
-// session's pinned snapshot — and falls back to the session-local
-// EstimateInto when there is no batcher or it has shut down. Results
-// are bit-identical on every path; the only error is ctx expiring
-// while queued.
-func (s *EstimateSession) EstimateChunk(ctx context.Context, dst []float64, items []EstimateItem) error {
-	if s.b != nil {
-		err := s.b.estimate(ctx, s.snap, dst, items)
-		if err == nil || !errors.Is(err, ErrBatcherClosed) {
-			return err
-		}
-	}
-	s.EstimateInto(dst, items)
-	return nil
 }

@@ -80,36 +80,6 @@ func Instrument(r *obs.Registry, reg *Registry, pool PoolBackend) {
 	}
 }
 
-// InstrumentBatcher registers the inference-scheduler series on an obs
-// registry:
-//
-//	pme_batcher_queue_depth          gauge      rows queued awaiting a flush
-//	pme_batcher_requests_total       counter    estimate calls routed through the batcher
-//	pme_batcher_rows_total           counter    rows routed through the batcher
-//	pme_batcher_flushes_total{reason} counter   flushes per trigger (size|idle|deadline|backlog|drain)
-//	pme_batcher_flush_rows           histogram  rows per flush (log-bucket scale, 1 "second" = 1 row)
-//	pme_batcher_queue_wait_seconds   histogram  enqueue→flush latency
-func InstrumentBatcher(r *obs.Registry, b *Batcher) {
-	if r == nil || b == nil {
-		return
-	}
-	r.GaugeFunc("pme_batcher_queue_depth", "Estimate rows queued in the batcher awaiting a flush.", nil,
-		func() float64 { return float64(b.QueueDepth()) })
-	r.CounterFunc("pme_batcher_requests_total", "Estimate calls routed through the cross-request batcher.", nil,
-		func() float64 { return float64(b.Requests()) })
-	r.CounterFunc("pme_batcher_rows_total", "Estimate rows routed through the cross-request batcher.", nil,
-		func() float64 { return float64(b.RowsBatched()) })
-	for _, reason := range FlushReasons {
-		reason := reason
-		r.CounterFunc("pme_batcher_flushes_total", "Batcher flushes by trigger reason.", obs.Labels{"reason": reason},
-			func() float64 { return float64(b.FlushCount(reason)) })
-	}
-	r.HistogramFunc("pme_batcher_flush_rows", "Rows per batcher flush, recorded on the shared log-bucket scale (one second tick = one row).", nil,
-		b.FlushSizes)
-	r.HistogramFunc("pme_batcher_queue_wait_seconds", "Latency from enqueue to flush inside the batcher.", nil,
-		b.QueueWait)
-}
-
 // InstrumentRetrainer registers the retrain-loop series on an obs
 // registry:
 //

@@ -186,6 +186,11 @@ func TestCoreServiceEstimates(t *testing.T) {
 	if _, err := svc.EstimateBatch(ctx, nil); !errors.Is(err, ErrEmptyBatch) {
 		t.Errorf("empty batch: %v, want ErrEmptyBatch", err)
 	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := svc.EstimateBatch(cancelled, []EstimateItem{{ADX: "MoPub"}}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled ctx: %v, want context.Canceled", err)
+	}
 	svc.SetMaxBatch(2)
 	var tooLarge *BatchTooLargeError
 	_, err := svc.EstimateBatch(ctx, make([]EstimateItem, 3))

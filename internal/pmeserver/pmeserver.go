@@ -45,7 +45,6 @@ type Server struct {
 	svc      pme.Service
 	registry *pme.Registry   // nil when a custom Service is injected
 	pool     pme.PoolBackend // nil when a custom Service is injected
-	coreOpts []pme.CoreOption
 	ready    func(ctx context.Context) error
 	metrics  *Metrics
 	obs      *obs.Registry
@@ -162,12 +161,11 @@ func WithReadiness(fn func(ctx context.Context) error) Option {
 	}
 }
 
-// WithCoreOptions forwards options (pme.WithBatcher, ...) to the
-// pme.Core the server constructs.
-// Ignored when WithService injects a custom service.
-func WithCoreOptions(opts ...pme.CoreOption) Option {
-	return func(s *Server) { s.coreOpts = append(s.coreOpts, opts...) }
-}
+// WithCoreOptions returns an Option that does nothing: pme.Core has no
+// options left.
+//
+// Deprecated: no-op since the batcher was removed; kept only so pmebench builds.
+func WithCoreOptions(...pme.CoreOption) Option { return func(*Server) {} }
 
 // WithService replaces the whole service core. The compat accessors
 // (SetModel, Model, Contributions, SetMaxPool) need registry/pool
@@ -191,7 +189,7 @@ func New(model *core.Model, opts ...Option) (*Server, error) {
 		if s.pool == nil {
 			s.pool = pme.NewPool(0)
 		}
-		s.svc = pme.NewCore(s.registry, s.pool, s.coreOpts...)
+		s.svc = pme.NewCore(s.registry, s.pool)
 	}
 	if s.obs == nil {
 		s.obs = obs.NewRegistry()
@@ -201,9 +199,6 @@ func New(model *core.Model, opts ...Option) (*Server, error) {
 	obs.RegisterRuntime(s.obs)
 	s.metrics.bind(s.obs)
 	pme.Instrument(s.obs, s.registry, s.pool)
-	if c, ok := s.svc.(*pme.Core); ok {
-		pme.InstrumentBatcher(s.obs, c.Batcher())
-	}
 	if s.tracer != nil {
 		tr := s.tracer
 		s.obs.CounterFunc("pme_trace_dropped_spans_total",
@@ -221,15 +216,11 @@ func New(model *core.Model, opts ...Option) (*Server, error) {
 // Service returns the underlying service core.
 func (s *Server) Service() pme.Service { return s.svc }
 
-// Close drains the service's inference batcher, if any: in-flight
-// estimates complete and later ones fall back to the direct walk. Call
-// it after the HTTP listener stops accepting traffic.
-func (s *Server) Close() error {
-	if c, ok := s.svc.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
-}
+// Close returns nil: the server holds nothing beyond the HTTP listener,
+// which its caller owns and shuts down.
+//
+// Deprecated: no-op since the batcher was removed; kept only so pmebench builds.
+func (s *Server) Close() error { return nil }
 
 // Registry returns the model registry behind the server (nil when a
 // custom Service was injected without one).

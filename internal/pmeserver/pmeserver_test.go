@@ -58,7 +58,7 @@ func TestModelDistributionRoundTrip(t *testing.T) {
 	defer ts.Close()
 
 	client := NewClient(ts.URL)
-	got, err := client.FetchModel()
+	got, err := client.FetchModelContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestModelDistributionRoundTrip(t *testing.T) {
 	if got.EstimateCPM(probe) != m.EstimateCPM(probe) {
 		t.Error("fetched model predicts differently")
 	}
-	v, err := client.Version()
+	v, err := client.VersionContext(context.Background())
 	if err != nil || v != m.Version {
 		t.Errorf("version = %d, %v", v, err)
 	}
@@ -85,17 +85,17 @@ func TestNoModel(t *testing.T) {
 	defer ts.Close()
 
 	client := NewClient(ts.URL)
-	if _, err := client.FetchModel(); err == nil {
+	if _, err := client.FetchModelContext(context.Background()); err == nil {
 		t.Error("fetch should fail before a model is set")
 	}
-	if _, err := client.Version(); err == nil {
+	if _, err := client.VersionContext(context.Background()); err == nil {
 		t.Error("version should fail before a model is set")
 	}
 	// And succeed after SetModel.
 	if err := srv.SetModel(testModel(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.FetchModel(); err != nil {
+	if _, err := client.FetchModelContext(context.Background()); err != nil {
 		t.Errorf("fetch after SetModel: %v", err)
 	}
 	if srv.Model() == nil {
@@ -116,7 +116,7 @@ func TestContribution(t *testing.T) {
 		{ADX: "MoPub", PriceCPM: 0},      // invalid: cleartext without price
 		{ADX: "MoPub", PriceCPM: 999999}, // invalid: implausible
 	}
-	accepted, err := client.Contribute(batch)
+	accepted, err := client.ContributeContext(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +191,9 @@ func TestConcurrentAccess(t *testing.T) {
 			for j := 0; j < 20; j++ {
 				switch i % 3 {
 				case 0:
-					_, _ = client.FetchModel()
+					_, _ = client.FetchModelContext(context.Background())
 				case 1:
-					_, _ = client.Contribute([]Contribution{
+					_, _ = client.ContributeContext(context.Background(), []Contribution{
 						{ADX: "MoPub", PriceCPM: 0.5},
 					})
 				default:

@@ -78,28 +78,21 @@ func (s *Server) handleEstimateStreamV2(w http.ResponseWriter, r *http.Request) 
 	sc.Buffer(make([]byte, 0, 4096), maxStreamLine)
 	var (
 		// Parsed items are estimated core.EstimateChunk at a time: a full
-		// chunk matches the session walk's encode-matrix size, and when
-		// the service runs a cross-request batcher each chunk is one
-		// submission — a lone fat stream still flushes full batches
-		// immediately (size trigger) while only its sub-chunk tail can
-		// wait out the batch window.
+		// chunk matches the session walk's encode-matrix size.
 		chunk = make([]pme.EstimateItem, 0, core.EstimateChunk)
 		cpms  = make([]float64, core.EstimateChunk)
 		out   []byte // reused {"cpm":N}\n scratch
 		items int
 	)
 	ctx := r.Context()
-	// emit estimates the buffered chunk — one tree-major walk, one
-	// batcher submission when the service batches — and writes its
-	// result lines. Reports whether the stream should continue.
+	// emit estimates the buffered chunk in one tree-major walk and
+	// writes its result lines. Reports whether the stream should
+	// continue.
 	emit := func() bool {
 		if len(chunk) == 0 {
 			return true
 		}
-		if err := sess.EstimateChunk(ctx, cpms[:len(chunk)], chunk); err != nil {
-			fail("cancelled", "request context cancelled mid-stream")
-			return false
-		}
+		sess.EstimateInto(cpms[:len(chunk)], chunk)
 		for _, cpm := range cpms[:len(chunk)] {
 			out = append(out[:0], `{"cpm":`...)
 			out = strconv.AppendFloat(out, cpm, 'g', -1, 64)

@@ -39,7 +39,7 @@ type clientEnv struct {
 	budget   *atomic.Int64
 	geo      *geoip.DB
 	registry *nurl.Registry
-	tracer   *Tracer
+	tracer   *trace.Tracer
 }
 
 // runner wraps slot idx's client loop as a harness Runner.
@@ -232,8 +232,8 @@ func (e *clientEnv) runClient(ctx context.Context, idx int, id string, st *clien
 }
 
 // estimateBurst issues the cycle's items as burst concurrent
-// POST /v2/estimate sub-batches — the concurrent-arrival shape the
-// server-side micro-batcher coalesces. Per-goroutine outcomes are
+// POST /v2/estimate sub-batches — several small requests from one
+// client landing at once. Per-goroutine outcomes are
 // buffered and merged after the join because clientStats histograms
 // are not safe for concurrent writes. Returns false when the client
 // should stop (context cancelled mid-burst).

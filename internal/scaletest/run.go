@@ -14,6 +14,7 @@ import (
 	"yourandvalue/internal/geoip"
 	"yourandvalue/internal/hist"
 	"yourandvalue/internal/nurl"
+	"yourandvalue/internal/obs/trace"
 	"yourandvalue/internal/scenario"
 	"yourandvalue/internal/stream"
 )
@@ -54,8 +55,8 @@ type Config struct {
 	// PerClientTimeout wraps every client run in its own timeout when
 	// positive (TimeoutExecution over Exec).
 	PerClientTimeout time.Duration
-	// Tracer records request-level spans when set (see trace.go).
-	Tracer *Tracer
+	// Tracer records request-level spans when set.
+	Tracer *trace.Tracer
 	// ChurnMaxLifetime bounds churned client lifetimes in cycles for
 	// churning profiles (default 24). Lifetimes are uniform in
 	// [0, ChurnMaxLifetime]; zero-length generations are legal.

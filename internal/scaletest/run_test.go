@@ -73,8 +73,7 @@ func TestRunEstimateHeavy(t *testing.T) {
 
 // TestRunEstimateBurst: the burst strategy must fan each cycle's items
 // across several concurrent estimate sub-requests (so the estimate
-// histogram records a multiple of the cycle count) with zero errors —
-// the arrival shape the server-side micro-batcher coalesces.
+// histogram records a multiple of the cycle count) with zero errors.
 func TestRunEstimateBurst(t *testing.T) {
 	cfg := testCfg(t, "estimate-burst", 2, 32)
 	// Big event batches so every cycle carries enough estimate items to

@@ -18,7 +18,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-host run in -short")
 	}
-	tracer := NewTracer(0)
+	tracer := trace.NewTracer(0)
 	host, err := StartSelfHost(7, 1000, pmeserver.WithTracer(tracer))
 	if err != nil {
 		t.Fatal(err)

@@ -30,9 +30,8 @@ type Profile struct {
 	// POST /v2/estimate/stream every n cycles (0 = never).
 	StreamEvery int
 	// EstimateBurst > 1 splits each estimate cycle's items across this
-	// many concurrent POST /v2/estimate calls instead of one — the
-	// arrival pattern the server's cross-request inference batcher
-	// coalesces back into shared forest walks.
+	// many concurrent POST /v2/estimate calls instead of one: a
+	// concurrent-arrival shape of many small requests.
 	EstimateBurst int
 	// Churn bounds client lifetimes: a client "leaves" after a
 	// per-generation random number of cycles (uniform in
@@ -80,7 +79,7 @@ var profiles = map[string]Profile{
 	},
 	"estimate-burst": {
 		Name:          "estimate-burst",
-		Description:   "4 concurrent POST /v2/estimate sub-batches every cycle — micro-batcher coalescing pressure",
+		Description:   "4 concurrent POST /v2/estimate sub-batches every cycle — concurrent small-request arrivals",
 		PollEvery:     64,
 		EstimateEvery: 1,
 		EstimateBurst: 4,
