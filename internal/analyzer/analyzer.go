@@ -9,7 +9,7 @@
 // The detection substeps (i)-(v) live in the shared internal/detect
 // engine — the same code path the online stream shards and the PME's
 // estimation surfaces run — and the analyzer is a fold over the
-// engine's emissions into the paper's batch summaries.
+// engine's emissions into the paper's batch summaries, sharded by user.
 //
 // The analyzer sees only what a proxy would: requests. It never touches
 // the generator's ground truth, which is what makes the downstream
@@ -17,6 +17,9 @@
 package analyzer
 
 import (
+	"maps"
+	"sync"
+
 	"yourandvalue/internal/cookiesync"
 	"yourandvalue/internal/detect"
 	"yourandvalue/internal/geoip"
@@ -151,11 +154,14 @@ type Analyzer struct {
 	Classifier *trafficclass.Classifier
 	GeoDB      *geoip.DB
 	Directory  *iab.Directory
+	// Workers is how many user shards Analyze folds in parallel (below
+	// 1 means 1). The Result is identical at any count.
+	Workers int
 }
 
-// New returns an Analyzer with default substrates and the given category
-// directory (pass the trace catalog's directory; nil falls back to
-// keyword/hash categorization).
+// New returns a single-worker Analyzer with default substrates and the
+// given category directory (pass the trace catalog's directory; nil
+// falls back to keyword/hash categorization).
 func New(dir *iab.Directory) *Analyzer {
 	if dir == nil {
 		dir = iab.NewDirectory(nil)
@@ -165,33 +171,77 @@ func New(dir *iab.Directory) *Analyzer {
 		Classifier: trafficclass.DefaultClassifier(),
 		GeoDB:      geoip.Default(),
 		Directory:  dir,
+		Workers:    1,
 	}
 }
 
 // Analyze runs the full pipeline over a time-ordered request stream:
 // one shared detect.Engine pass per request, folded into the paper's
 // per-user, per-advertiser and per-pair summaries.
+//
+// The fold is sharded by user (weblog.UserShard) over Workers
+// goroutines. Each shard runs its own engine and cookie-sync detectors
+// over its users' requests in order; the engine's caches are pure and
+// its only cross-request state is per user, so a shard sees exactly
+// what one serial pass would. A sequential merge then records the
+// detected impressions in global request order, which keeps
+// Result.Impressions and every float sum bit-identical at any count.
 func (a *Analyzer) Analyze(requests []weblog.Request) *Result {
-	res := &Result{
-		Users:       make(map[int]*UserSummary),
-		Advertisers: make(map[string]*AdvertiserSummary),
-		Pairs:       make(map[PairKey]*PairStats),
-		ClassCounts: make(map[trafficclass.Class]int),
-		Publishers:  make(map[string]int),
+	shards := make([]*shard, max(1, a.Workers))
+	var wg sync.WaitGroup
+	for i := range shards {
+		shards[i] = a.newShard()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shards[i].fold(requests, i, len(shards))
+		}()
 	}
-	eng := detect.NewEngine(detect.Config{
-		Registry:   a.Registry,
-		Classifier: a.Classifier,
-		GeoDB:      a.GeoDB,
-		Directory:  a.Directory,
-	})
-	detectors := make(map[int]*cookiesync.Detector)
-	adHost := func(h string) bool {
-		return eng.Class(h) == trafficclass.Advertising
-	}
+	wg.Wait()
+	return merge(requests, shards)
+}
 
-	for _, r := range requests {
-		u := res.Users[r.UserID]
+// shard is the fold state of one user partition.
+type shard struct {
+	eng       *detect.Engine
+	users     map[int]*UserSummary
+	detectors map[int]*cookiesync.Detector
+	classes   map[trafficclass.Class]int
+	hits      []hit // detected impressions, in request order
+}
+
+// hit is a detected impression and the index of its request.
+type hit struct {
+	req int
+	imp Impression
+}
+
+func (a *Analyzer) newShard() *shard {
+	return &shard{
+		eng: detect.NewEngine(detect.Config{
+			Registry:   a.Registry,
+			Classifier: a.Classifier,
+			GeoDB:      a.GeoDB,
+			Directory:  a.Directory,
+		}),
+		users:     make(map[int]*UserSummary),
+		detectors: make(map[int]*cookiesync.Detector),
+		classes:   make(map[trafficclass.Class]int),
+	}
+}
+
+// fold runs the shard's users' requests (those UserShard routes to id
+// of n) through its engine.
+func (sh *shard) fold(requests []weblog.Request, id, n int) {
+	adHost := func(h string) bool {
+		return sh.eng.Class(h) == trafficclass.Advertising
+	}
+	for i := range requests {
+		r := &requests[i]
+		if weblog.UserShard(r.UserID, n) != id {
+			continue
+		}
+		u := sh.users[r.UserID]
 		if u == nil {
 			u = &UserSummary{
 				UserID:     r.UserID,
@@ -199,17 +249,17 @@ func (a *Analyzer) Analyze(requests []weblog.Request) *Result {
 				Interests:  iab.NewProfile(),
 				Cities:     make(map[geoip.City]int),
 			}
-			res.Users[r.UserID] = u
+			sh.users[r.UserID] = u
 		}
 		u.Requests++
 		u.Bytes += r.Bytes
 		u.TotalDurationMS += r.DurationMS
 
-		em := eng.Step(r.Detect())
+		em := sh.eng.Step(r.Detect())
 		if em.City.Valid() {
 			u.Cities[em.City]++
 		}
-		res.ClassCounts[em.Class]++
+		sh.classes[em.Class]++
 
 		switch em.Class {
 		case trafficclass.Rest:
@@ -218,10 +268,10 @@ func (a *Analyzer) Analyze(requests []weblog.Request) *Result {
 			u.Publishers[r.Host]++
 			u.Interests.Observe(em.Category, 1)
 		case trafficclass.Advertising:
-			d := detectors[r.UserID]
+			d := sh.detectors[r.UserID]
 			if d == nil {
 				d = cookiesync.NewDetector(adHost)
-				detectors[r.UserID] = d
+				sh.detectors[r.UserID] = d
 			}
 			switch d.Inspect(r.URL).Kind {
 			case cookiesync.CookieSync:
@@ -230,16 +280,54 @@ func (a *Analyzer) Analyze(requests []weblog.Request) *Result {
 				u.Beacons++
 			}
 			if em.Detected {
-				a.recordImpression(res, u, r, em.Impression)
+				sh.hits = append(sh.hits, hit{req: i, imp: em.Impression})
 			}
 		}
 	}
-	return res
 }
 
-func (a *Analyzer) recordImpression(res *Result, u *UserSummary, r weblog.Request, imp Impression) {
+// merge joins the shards' users and class counts by key, then records
+// every hit in global request order.
+func merge(requests []weblog.Request, shards []*shard) *Result {
+	res := &Result{
+		Users:       shards[0].users,
+		Advertisers: make(map[string]*AdvertiserSummary),
+		Pairs:       make(map[PairKey]*PairStats),
+		ClassCounts: shards[0].classes,
+		Publishers:  make(map[string]int),
+	}
+	hits := len(shards[0].hits)
+	for _, sh := range shards[1:] {
+		maps.Copy(res.Users, sh.users)
+		for c, n := range sh.classes {
+			res.ClassCounts[c] += n
+		}
+		hits += len(sh.hits)
+	}
+	if hits > 0 {
+		res.Impressions = make([]Impression, 0, hits)
+	}
+	next := make([]int, len(shards))
+	for {
+		best := -1
+		for s, sh := range shards {
+			if next[s] < len(sh.hits) && (best < 0 || sh.hits[next[s]].req < shards[best].hits[next[best]].req) {
+				best = s
+			}
+		}
+		if best < 0 {
+			return res
+		}
+		h := &shards[best].hits[next[best]]
+		next[best]++
+		r := &requests[h.req]
+		recordImpression(res, res.Users[r.UserID], r, &h.imp)
+	}
+}
+
+func recordImpression(res *Result, u *UserSummary, r *weblog.Request, imp *Impression) {
 	n := imp.Notification
-	res.Impressions = append(res.Impressions, imp)
+	res.Impressions = append(res.Impressions, *imp)
 	res.Publishers[imp.Publisher]++
 
 	u.Impressions++

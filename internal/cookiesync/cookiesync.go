@@ -14,11 +14,20 @@
 //     sync endpoint (/getuid, /pixel, /usersync, /cksync, /rum, /match);
 //   - web beacon: a request for a tiny tracking object (1×1 pixel paths,
 //     /beacon, /collect, …) on a third-party domain.
+//
+// Inspect scans each URL once, on the nurl package's allocation-free
+// span scanner (nurl.SplitURL plus a nurl.Query the Detector keeps):
+// host, path and query are matched as substrings of the input. URLs
+// the scanner does not take — escaped hosts, relative references, more
+// than 48 query parameters — fall back to a net/url implementation
+// with identical results, which FuzzInspect holds the scanner to.
 package cookiesync
 
 import (
 	"net/url"
 	"strings"
+
+	"yourandvalue/internal/nurl"
 )
 
 // Kind labels a detection.
@@ -91,6 +100,8 @@ type Detector struct {
 	// sync pair, the strongest signal in the literature.
 	idOwners map[string]map[string]struct{}
 	pairs    int
+
+	q nurl.Query // query spans of the URL being inspected
 }
 
 // NewDetector builds a Detector. adHost may be nil, in which case every
@@ -104,7 +115,71 @@ func NewDetector(adHost func(host string) bool) *Detector {
 
 // Inspect examines one request URL and returns a detection (Kind None if
 // the request is not a sync or beacon). Counters update on detection.
+// The event's strings may alias rawURL.
 func (d *Detector) Inspect(rawURL string) Event {
+	host, path, query, ok := nurl.SplitURL(rawURL)
+	if !ok {
+		return d.inspectReference(rawURL)
+	}
+	host = strings.ToLower(host)
+	if !d.adHost(host) {
+		return Event{}
+	}
+	if !d.q.Scan(query) {
+		return d.inspectReference(rawURL)
+	}
+
+	// Sync parameter carrying an ID?
+	for _, p := range syncParams {
+		if v := d.q.Get(p); len(v) >= 8 {
+			ev := Event{Kind: CookieSync, Host: host, Param: p, UserID: v}
+			for _, pp := range partnerParams {
+				if pv := d.q.Get(pp); pv != "" {
+					if pu, err := url.Parse(pv); err == nil && pu.Host != "" {
+						ev.Partner = strings.ToLower(pu.Hostname())
+					}
+					break
+				}
+			}
+			d.recordSync(host, v)
+			return ev
+		}
+	}
+	// Dedicated sync endpoint? The reference matches each fragment
+	// against path + "?" + query; a fragment's '?' may straddle that
+	// boundary, which only exists when the query is non-empty.
+	lowPath, lowQuery := strings.ToLower(nurl.UnescapePath(path)), strings.ToLower(query)
+	for _, sp := range syncPaths {
+		if strings.Contains(lowPath, sp) || query != "" && (strings.Contains(lowQuery, sp) || straddles(lowPath, lowQuery, sp)) {
+			d.syncs++
+			return Event{Kind: CookieSync, Host: host}
+		}
+	}
+	// Tracking pixel?
+	for _, bp := range beaconPaths {
+		if strings.Contains(lowPath, bp) {
+			d.beacons++
+			return Event{Kind: WebBeacon, Host: host}
+		}
+	}
+	return Event{}
+}
+
+// straddles reports whether sp occurs in lowPath+"?"+lowQuery with one
+// of its '?' bytes on the joining '?'.
+func straddles(lowPath, lowQuery, sp string) bool {
+	for i := 0; i < len(sp); i++ {
+		if sp[i] == '?' && strings.HasSuffix(lowPath, sp[:i]) && strings.HasPrefix(lowQuery, sp[i+1:]) {
+			return true
+		}
+	}
+	return false
+}
+
+// inspectReference is Inspect over net/url: it parses the URL and its
+// query into fresh strings. Inspect falls back to it for URLs the span
+// scanner does not take, and FuzzInspect checks Inspect against it.
+func (d *Detector) inspectReference(rawURL string) Event {
 	u, err := url.Parse(rawURL)
 	if err != nil || u.Host == "" {
 		return Event{}

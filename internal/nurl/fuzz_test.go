@@ -2,6 +2,7 @@ package nurl
 
 import (
 	"math"
+	"net/url"
 	"strings"
 	"testing"
 )
@@ -47,6 +48,11 @@ var fuzzSeeds = []string{
 	"http://evilmopub.com/imp?charge_price=1.0",
 	"http://cpp.imp.mpx.mopub.com/imp#frag?charge_price=0.5",
 	"http://cpp.imp.mpx.mopub.com/imp?charge_price=0.5#frag",
+	"http://cpp.imp.mpx.mopub.com/imp?charge_price=0.5#%zz",
+	"http://cpp.imp.mpx.mopub.com/imp?charge_price=0.5#\x01",
+	"http://us[er@cpp.imp.mpx.mopub.com/imp?charge_price=0.5",
+	"http://[::1]:80/imp?charge_price=0.5",
+	"http://cpp<imp>.mopub.com/imp?charge_price=0.5",
 }
 
 // tameURL reports whether raw stays inside the byte set where the span
@@ -69,9 +75,9 @@ func tameURL(raw string) bool {
 
 // FuzzNURLParse drives the allocation-free span parser with arbitrary
 // URLs: it must never panic, must be deterministic, must uphold the
-// notification invariants whenever it reports a detection, and on tame
-// inputs must agree bit for bit with the net/url reference
-// implementation (ParseReference).
+// notification invariants whenever it reports a detection, must split
+// every URL it takes as net/url does, and on tame inputs must agree bit
+// for bit with the net/url reference implementation (ParseReference).
 func FuzzNURLParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -107,6 +113,14 @@ func FuzzNURLParse(f *testing.F) {
 			}
 			if n.ADX == "" || n.Host == "" || n.Params < 1 || n.Currency == "" {
 				t.Fatalf("incomplete notification %+v (%q)", n, raw)
+			}
+		}
+		// Whatever SplitURL takes, net/url takes with the same host,
+		// path and query: callers fall back to net/url only on !ok.
+		if host, path, query, ok := SplitURL(raw); ok {
+			u, err := url.Parse(raw)
+			if err != nil || u.Hostname() != host || u.Path != UnescapePath(path) || u.RawQuery != query {
+				t.Fatalf("SplitURL(%q) = %q, %q, %q; net/url: %+v, %v", raw, host, path, query, u, err)
 			}
 		}
 		if tameURL(raw) {

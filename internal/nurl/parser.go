@@ -5,9 +5,9 @@ import (
 	"strings"
 )
 
-// maxQueryParams bounds the span scratch of a Parser. Real notification
-// URLs carry ~10 parameters; anything beyond the bound falls back to
-// the reference net/url implementation.
+// maxQueryParams bounds the span scratch of a Query. Real notification
+// URLs carry ~10 parameters; anything beyond the bound reports !ok, and
+// callers fall back to a net/url implementation.
 const maxQueryParams = 48
 
 // kvSpan is one successfully scanned query parameter: key and value as
@@ -18,6 +18,16 @@ type kvSpan struct {
 	keyEsc, valEsc bool
 }
 
+// Query is a reusable allocation-free scanner over a raw URL query:
+// Scan splits it into key/value spans of the input string and Get looks
+// values up with the url.Values.Get contract. Together with SplitURL it
+// is the one URL scan both the notification Parser and cookie-sync
+// detection run. A Query is not safe for concurrent use.
+type Query struct {
+	n   int // spans of arr in use for the current query
+	arr [maxQueryParams]kvSpan
+}
+
 // Parser is a reusable allocation-free notification-URL scanner over a
 // Registry. Unlike Registry.Parse — which builds a scratch parser per
 // call — a persistent Parser keeps its span buffer across calls, so the
@@ -25,8 +35,7 @@ type kvSpan struct {
 // concurrent use; give each goroutine its own.
 type Parser struct {
 	reg *Registry
-	n   int // spans of arr in use for the current URL
-	arr [maxQueryParams]kvSpan
+	q   Query
 }
 
 // NewParser returns a parser over the registry's macro descriptors.
@@ -42,7 +51,7 @@ func NewParser(r *Registry) *Parser { return &Parser{reg: r} }
 // URL (e.g. unbounded event histories) should strings.Clone the fields
 // they keep.
 func (p *Parser) Parse(rawURL string) (Notification, bool) {
-	host, path, query, ok := splitURL(rawURL)
+	host, path, query, ok := SplitURL(rawURL)
 	if !ok {
 		return Notification{}, false
 	}
@@ -56,7 +65,7 @@ func (p *Parser) Parse(rawURL string) (Notification, bool) {
 			continue
 		}
 		if !scanned {
-			scanned, scanOK = true, p.scanQuery(query)
+			scanned, scanOK = true, p.q.Scan(query)
 		}
 		if !scanOK {
 			// Pathological parameter count: defer wholesale to the
@@ -71,13 +80,13 @@ func (p *Parser) Parse(rawURL string) (Notification, bool) {
 	return Notification{}, false
 }
 
-// scanQuery splits the raw query into valid key/value spans, applying
-// the same per-pair rules as net/url.ParseQuery: empty segments,
-// segments containing ';', and segments with invalid percent escapes
-// are dropped. It reports false when the segment count exceeds the
-// span buffer.
-func (p *Parser) scanQuery(query string) bool {
-	p.n = 0
+// Scan splits the raw query into valid key/value spans, applying the
+// same per-pair rules as net/url.ParseQuery: empty segments, segments
+// containing ';', and segments with invalid percent escapes are
+// dropped. It reports false when the segment count exceeds the span
+// buffer; the spans are then unusable.
+func (q *Query) Scan(query string) bool {
+	q.n = 0
 	for query != "" {
 		var seg string
 		if i := strings.IndexByte(query, '&'); i >= 0 {
@@ -95,23 +104,24 @@ func (p *Parser) scanQuery(query string) bool {
 		if !validEscapes(key) || !validEscapes(val) {
 			continue
 		}
-		if p.n == maxQueryParams {
+		if q.n == maxQueryParams {
 			return false
 		}
-		p.arr[p.n] = kvSpan{
+		q.arr[q.n] = kvSpan{
 			key: key, val: val,
 			keyEsc: hasEsc(key), valEsc: hasEsc(val),
 		}
-		p.n++
+		q.n++
 	}
 	return true
 }
 
-// get returns the first value for the (unescaped) parameter name, ""
-// when absent — the url.Values.Get contract over the scanned spans.
-func (p *Parser) get(name string) string {
-	for i := 0; i < p.n; i++ {
-		sp := &p.arr[i]
+// Get returns the first value for the (unescaped) parameter name, ""
+// when absent — the url.Values.Get contract over the scanned spans. The
+// result aliases the scanned query unless the value carries escapes.
+func (q *Query) Get(name string) string {
+	for i := 0; i < q.n; i++ {
+		sp := &q.arr[i]
 		if sp.keyEsc {
 			if !escPlainEq(sp.key, name) {
 				continue
@@ -129,12 +139,12 @@ func (p *Parser) get(name string) string {
 
 // distinct counts distinct parameter keys — len(url.Values) over the
 // scanned spans.
-func (p *Parser) distinct() int {
+func (q *Query) distinct() int {
 	n := 0
-	for i := 0; i < p.n; i++ {
+	for i := 0; i < q.n; i++ {
 		dup := false
 		for j := 0; j < i && !dup; j++ {
-			dup = keyEq(p.arr[i], p.arr[j])
+			dup = keyEq(q.arr[i], q.arr[j])
 		}
 		if !dup {
 			n++
@@ -145,7 +155,7 @@ func (p *Parser) distinct() int {
 
 // extract mirrors parseWith over the scanned spans.
 func (p *Parser) extract(ex Exchange, host string) (Notification, bool) {
-	raw := p.get(ex.PriceParam)
+	raw := p.q.Get(ex.PriceParam)
 	if raw == "" {
 		return Notification{}, false
 	}
@@ -153,9 +163,9 @@ func (p *Parser) extract(ex Exchange, host string) (Notification, bool) {
 		ADX:      ex.Name,
 		Host:     host,
 		Currency: "USD",
-		Params:   p.distinct(),
+		Params:   p.q.distinct(),
 	}
-	if cur := p.get("currency"); cur != "" {
+	if cur := p.q.Get("currency"); cur != "" {
 		n.Currency = strings.ToUpper(cur)
 	}
 	kind, cpm, ok := classifyPrice(raw)
@@ -169,7 +179,7 @@ func (p *Parser) extract(ex Exchange, host string) (Notification, bool) {
 		n.Token = raw
 	}
 	if ex.DSPParam != "" {
-		n.DSP = p.get(ex.DSPParam)
+		n.DSP = p.q.Get(ex.DSPParam)
 	}
 	if n.DSP == "" {
 		if ex.ADXParam != "" {
@@ -177,52 +187,59 @@ func (p *Parser) extract(ex Exchange, host string) (Notification, bool) {
 		}
 	}
 	if ex.ADXParam != "" {
-		if v := p.get(ex.ADXParam); v != "" {
+		if v := p.q.Get(ex.ADXParam); v != "" {
 			if canonical, ok := adxAliases[strings.ToLower(v)]; ok {
 				n.ADX = canonical
 			}
 		}
 	}
 	if ex.WidthParam != "" {
-		n.Width, _ = strconv.Atoi(p.get(ex.WidthParam))
+		n.Width, _ = strconv.Atoi(p.q.Get(ex.WidthParam))
 	}
 	if ex.HeightParam != "" {
-		n.Height, _ = strconv.Atoi(p.get(ex.HeightParam))
+		n.Height, _ = strconv.Atoi(p.q.Get(ex.HeightParam))
 	}
 	if ex.SizeParam != "" && n.Width == 0 {
-		n.Width, n.Height = parseSize(p.get(ex.SizeParam))
+		n.Width, n.Height = parseSize(p.q.Get(ex.SizeParam))
 	}
 	if ex.ImpParam != "" {
-		n.ImpID = p.get(ex.ImpParam)
+		n.ImpID = p.q.Get(ex.ImpParam)
 	}
 	if ex.AuctionParam != "" {
-		n.AuctionID = p.get(ex.AuctionParam)
+		n.AuctionID = p.q.Get(ex.AuctionParam)
 	}
 	if ex.CampaignParam != "" {
-		n.Campaign = p.get(ex.CampaignParam)
+		n.Campaign = p.q.Get(ex.CampaignParam)
 	}
 	if ex.PublisherParam != "" {
-		n.Publisher = p.get(ex.PublisherParam)
-	} else if v := p.get("ad_domain"); v != "" {
+		n.Publisher = p.q.Get(ex.PublisherParam)
+	} else if v := p.q.Get("ad_domain"); v != "" {
 		n.Publisher = v
 	}
 	return n, true
 }
 
-// splitURL decomposes an absolute (or scheme-relative) URL into host,
-// raw path and raw query without allocating. It applies net/url's
-// structural rejections: control characters, malformed schemes,
-// invalid path escapes, non-numeric ports, and empty hosts all report
-// !ok. Percent-escaped hosts are not supported and report !ok.
-func splitURL(raw string) (host, path, query string, ok bool) {
+// SplitURL decomposes an absolute (or scheme-relative) URL into host,
+// raw path and raw query without allocating. ok is true exactly when
+// net/url.Parse accepts the URL and its host is non-empty and free of
+// percent escapes: control characters, malformed schemes, invalid
+// userinfo, invalid path or fragment escapes, non-numeric ports,
+// forbidden host bytes, escaped hosts and empty hosts all report !ok.
+// host is then the URL's Hostname() (userinfo, port and IPv6 brackets
+// stripped, case kept); path and query are still escaped.
+func SplitURL(raw string) (host, path, query string, ok bool) {
+	// The fragment hides everything after it; net/url only checks its
+	// escapes.
+	if i := strings.IndexByte(raw, '#'); i >= 0 {
+		if !validEscapes(raw[i+1:]) {
+			return "", "", "", false
+		}
+		raw = raw[:i]
+	}
 	for i := 0; i < len(raw); i++ {
 		if raw[i] < 0x20 || raw[i] == 0x7f {
 			return "", "", "", false
 		}
-	}
-	// The fragment hides everything after it.
-	if i := strings.IndexByte(raw, '#'); i >= 0 {
-		raw = raw[:i]
 	}
 	var rest string
 	if strings.HasPrefix(raw, "//") {
@@ -244,6 +261,9 @@ func splitURL(raw string) (host, path, query string, ok bool) {
 	auth := rest[:end]
 	rest = rest[end:]
 	if i := strings.LastIndexByte(auth, '@'); i >= 0 {
+		if !validUserinfo(auth[:i]) {
+			return "", "", "", false
+		}
 		auth = auth[i+1:]
 	}
 	if strings.HasPrefix(auth, "[") {
@@ -272,14 +292,31 @@ func splitURL(raw string) (host, path, query string, ok bool) {
 	return auth, path, query, true
 }
 
+// UnescapePath decodes the percent escapes of a path SplitURL returned,
+// as net/url does for URL.Path ('+' stays literal). It allocates only
+// when the path carries escapes.
+func UnescapePath(path string) string {
+	if !hasPct(path) {
+		return path
+	}
+	var b strings.Builder
+	b.Grow(len(path))
+	for i := 0; i < len(path); i++ {
+		if path[i] == '%' {
+			b.WriteByte(unhex(path[i+1])<<4 | unhex(path[i+2]))
+			i += 2
+			continue
+		}
+		b.WriteByte(path[i])
+	}
+	return b.String()
+}
+
 // pathContains reports whether the (case-folded, percent-decoded) path
 // contains the hint. Decoding only happens when escapes are present,
 // which no generated notification path has.
 func pathContains(path, hint string) bool {
-	if hasPct(path) {
-		path = unescapePath(path)
-	}
-	return strings.Contains(strings.ToLower(path), hint)
+	return strings.Contains(strings.ToLower(UnescapePath(path)), hint)
 }
 
 // validOptionalPort reports whether s is "" or ":" followed by digits,
@@ -315,14 +352,32 @@ func validScheme(s string) bool {
 	return true
 }
 
+// validHostname reports whether net/url accepts every byte of the
+// (bracket- and port-free) host, with '%' rejected too: escaped hosts
+// are not supported.
 func validHostname(h string) bool {
 	for i := 0; i < len(h); i++ {
 		switch h[i] {
-		case ' ', '<', '>', '"', '%', '\\', '^', '`', '{', '|', '}', '/', '?', '#', '@':
+		case ' ', '%', '\\', '^', '`', '{', '|', '}', '/', '?', '#', '@':
 			return false
 		}
 	}
 	return true
+}
+
+// validUserinfo mirrors net/url's userinfo check: RFC 3986 userinfo
+// bytes only, with well-formed percent escapes.
+func validUserinfo(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9':
+		case strings.IndexByte("-._:~!$&'()*+,;=%@", c) >= 0:
+		default:
+			return false
+		}
+	}
+	return validEscapes(s)
 }
 
 // validEscapes reports whether every '%' in s introduces a two-digit
@@ -377,21 +432,6 @@ func unescape(s string) string {
 		default:
 			b.WriteByte(s[i])
 		}
-	}
-	return b.String()
-}
-
-// unescapePath decodes pre-validated path escapes ('+' stays literal).
-func unescapePath(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] == '%' {
-			b.WriteByte(unhex(s[i+1])<<4 | unhex(s[i+2]))
-			i += 2
-			continue
-		}
-		b.WriteByte(s[i])
 	}
 	return b.String()
 }

@@ -12,6 +12,7 @@ import (
 	"yourandvalue/internal/iab"
 	"yourandvalue/internal/nurl"
 	"yourandvalue/internal/trafficclass"
+	"yourandvalue/internal/weblog"
 )
 
 // AggregatorOption configures an Aggregator.
@@ -265,7 +266,7 @@ func (a *Aggregator) distribute(ctx context.Context, in <-chan Event, chans []ch
 				return events, nil
 			}
 			select {
-			case chans[ev.userID()%len(chans)] <- shardMsg{ev: ev}:
+			case chans[weblog.UserShard(ev.userID(), len(chans))] <- shardMsg{ev: ev}:
 			case <-ctx.Done():
 				return events, ctx.Err()
 			}

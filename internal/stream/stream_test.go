@@ -100,6 +100,40 @@ func TestAggregatorMatchesBatchEstimate(t *testing.T) {
 	}
 }
 
+// TestAggregatorNegativeUserIDs: a hand-built trace may carry negative
+// user IDs. Routing must keep them on a shard in range, and the streamed
+// costs must still match the batch tally at every shard count.
+func TestAggregatorNegativeUserIDs(t *testing.T) {
+	model, trace, _ := fixtures(t)
+	ctx := context.Background()
+	neg := *trace
+	neg.Requests = append([]weblog.Request(nil), trace.Requests...)
+	neg.Users = append([]weblog.User(nil), trace.Users...)
+	for i := range neg.Requests {
+		neg.Requests[i].UserID = -1 - neg.Requests[i].UserID
+	}
+	for i := range neg.Users {
+		neg.Users[i].ID = -1 - neg.Users[i].ID
+	}
+	batch, err := core.BatchEstimateContext(ctx, analyzer.New(neg.Catalog.Directory()).Analyze(neg.Requests), model, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{2, 3} {
+		replay, err := NewReplaySource(&neg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewAggregator(model, neg.Catalog.Directory(), WithShards(shards)).Run(ctx, replay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Costs, batch) {
+			t.Fatalf("negative-ID costs (shards=%d) differ from batch", shards)
+		}
+	}
+}
+
 // TestAggregatorFinalSnapshot: the end-of-stream snapshot must agree
 // with the accumulators and carry ranked top-K summaries.
 func TestAggregatorFinalSnapshot(t *testing.T) {

@@ -51,6 +51,18 @@ func (r Request) Detect() detect.Record {
 	}
 }
 
+// UserShard returns the shard in [0, n) that owns userID. Every
+// consumer that partitions requests by user — the analyzer's fold and
+// the stream aggregator — routes with it, so all of a user's requests
+// meet one shard; negative IDs (hand-built traces) map into range too.
+func UserShard(userID, n int) int {
+	s := userID % n
+	if s < 0 {
+		s += n
+	}
+	return s
+}
+
 // User is one member of the synthetic population with the latent traits
 // that shape their traffic and their value to advertisers.
 type User struct {

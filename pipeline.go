@@ -133,11 +133,12 @@ func WithObservability(r *obs.Registry) Option {
 
 // WithWorkers caps the goroutines the sharded stages run: trace
 // generation (GenerateTrace's parallel per-user driver, whose reorder
-// window holds ~2×n user traces), model training (TrainModel builds
-// each forest's trees — the cross-validation folds' and the final
-// one's — on n goroutines, one fold after another) and per-user cost
-// estimation (batch and streaming). The default is GOMAXPROCS. Stage
-// outputs are bit-identical at any worker count.
+// window holds ~2×n user traces), analysis (Analyze folds n user
+// shards, each with its own detection engine), model training
+// (TrainModel builds each forest's trees — the cross-validation folds'
+// and the final one's — on n goroutines, one fold after another) and
+// per-user cost estimation (batch and streaming). The default is
+// GOMAXPROCS. Stage outputs are bit-identical at any worker count.
 func WithWorkers(n int) Option {
 	return func(p *Pipeline) { p.workers = n }
 }
@@ -273,17 +274,20 @@ func (p *Pipeline) GenerateTrace(ctx context.Context) (*TraceArtifact, error) {
 }
 
 // Analyze runs stage 2: the Weblog Ads Analyzer (§4) over the trace —
-// one internal/detect engine pass folded into the batch summaries. The
-// trace's interned symbols (weblog.Trace.Symbols) ride along on every
-// request record, so the engine's per-host/agent/address caches key by
-// dense id instead of string.
+// one internal/detect engine pass folded into the batch summaries,
+// sharded by user across the pipeline's workers. The trace's interned
+// symbols (weblog.Trace.Symbols) ride along on every request record, so
+// the engine's per-host/agent/address caches key by dense id instead of
+// string.
 func (p *Pipeline) Analyze(ctx context.Context, tr *TraceArtifact) (*analyzer.Result, error) {
 	if tr == nil || tr.Trace == nil {
 		return nil, fmt.Errorf("yourandvalue: Analyze needs a trace artifact")
 	}
 	var res *analyzer.Result
 	err := p.runStage(ctx, StageAnalyze, func() error {
-		res = analyzer.New(tr.Trace.Catalog.Directory()).Analyze(tr.Trace.Requests)
+		an := analyzer.New(tr.Trace.Catalog.Directory())
+		an.Workers = p.workers
+		res = an.Analyze(tr.Trace.Requests)
 		return nil
 	})
 	if err != nil {
