@@ -146,8 +146,9 @@ type PME struct {
 	CVRuns  int
 	// Seed drives training determinism.
 	Seed int64
-	// Workers is the number of goroutines each forest's trees are built
-	// on (≤1: one after another). The model is byte-identical at any
+	// Workers is the number of goroutines training runs on (≤1: one
+	// thing after another): the cross-validation folds and the served
+	// forest's trees share them. The model is byte-identical at any
 	// worker count.
 	Workers int
 }
@@ -221,11 +222,12 @@ func (p *PME) Train(records []campaign.Record, cfg TrainConfig) (*Model, error) 
 	if runs < 1 {
 		runs = 2
 	}
-	rep, err := mlkit.CrossValidateForest(X, y, binner.Classes(), folds, runs, fcfg)
-	if err != nil {
-		return nil, err
-	}
-	forest, err := mlkit.TrainForest(X, y, binner.Classes(), fcfg)
+	// The served forest and its representative tree train in the same
+	// worker budget as the cross-validation folds, filling it as the
+	// folds drain.
+	var tree *mlkit.Tree
+	forest, rep, err := mlkit.TrainForestCV(X, y, binner.Classes(), folds, runs, fcfg,
+		func(f *mlkit.Forest) { tree = f.RepresentativeTree(X) })
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +251,7 @@ func (p *PME) Train(records []campaign.Record, cfg TrainConfig) (*Model, error) 
 		Features:  feats,
 		Binner:    binner,
 		Forest:    forest,
-		Tree:      forest.RepresentativeTree(X),
+		Tree:      tree,
 		TimeShift: shift,
 		Metrics: ModelMetrics{
 			Accuracy:  rep.Accuracy,
@@ -309,11 +311,7 @@ func (p *PME) ReduceDimensions(res *analyzer.Result, sampleCap int) (*ReductionR
 	y := binner.Labels(prices)
 	cfg := mlkit.ForestConfig{Trees: p.ForestSize, Seed: p.Seed, Workers: p.Workers}
 
-	forest, err := mlkit.TrainForest(Xf, y, binner.Classes(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	fullRep, err := mlkit.CrossValidateForest(Xf, y, binner.Classes(), 5, 1, cfg)
+	forest, fullRep, err := mlkit.TrainForestCV(Xf, y, binner.Classes(), 5, 1, cfg, nil)
 	if err != nil {
 		return nil, err
 	}

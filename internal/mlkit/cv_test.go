@@ -1,7 +1,9 @@
 package mlkit
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"yourandvalue/internal/stats"
@@ -83,6 +85,49 @@ func TestCrossValidateForest(t *testing.T) {
 	}
 	if _, err := CrossValidateForest(nil, nil, 3, 5, 1, ForestConfig{}); err == nil {
 		t.Error("empty CV accepted")
+	}
+}
+
+// TestCrossValidateDegenerateFolds: KFold clamps k to n, so one row
+// leaves a fold with nothing to train on. That, like an empty set, is
+// an error, not a panic in the bootstrap draw.
+func TestCrossValidateDegenerateFolds(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		X    [][]float64
+		y    []int
+	}{{"empty", nil, nil}, {"one row", [][]float64{{1, 2}}, []int{1}}} {
+		for _, workers := range []int{1, 2} {
+			cfg := ForestConfig{Trees: 3, Seed: 1, Workers: workers}
+			if _, err := CrossValidateForest(c.X, c.y, 2, 10, 1, cfg); !errors.Is(err, ErrBadTrainingData) {
+				t.Errorf("%s/workers=%d: CrossValidateForest err %v", c.name, workers, err)
+			}
+			if _, _, err := TrainForestCV(c.X, c.y, 2, 10, 1, cfg, nil); !errors.Is(err, ErrBadTrainingData) {
+				t.Errorf("%s/workers=%d: TrainForestCV err %v", c.name, workers, err)
+			}
+		}
+	}
+}
+
+// BenchmarkCrossValidateForest runs the bootstrap's §5.4 protocol shape
+// — 10 folds × 1 run of 40 depth-24, single-sample-leaf trees on the
+// 8,640×89 S-shaped set BenchmarkTrainForest uses — with the folds on
+// one worker and on GOMAXPROCS workers.
+func BenchmarkCrossValidateForest(b *testing.B) {
+	X, y := sShapedData(8640, 31)
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=GOMAXPROCS", runtime.GOMAXPROCS(0)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			cfg := ForestConfig{Trees: 40, MaxDepth: 24, MinLeaf: 1, Seed: 32, Workers: bc.workers}
+			for b.Loop() {
+				if _, err := CrossValidateForest(X, y, 4, 10, 1, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

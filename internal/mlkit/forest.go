@@ -72,37 +72,38 @@ func TrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) (*Forest
 	if err != nil {
 		return nil, err
 	}
-	d := len(X[0])
-	cfg = cfg.withDefaults(d)
-	rng := stats.NewRand(cfg.Seed)
+	cfg = cfg.withDefaults(len(X[0]))
+	j := newForestJob(cols, cfg)
+	tcfg := cfg.treeConfig()
+	runTasks(cfg.Workers, cfg.Trees, func() func(int) {
+		b := newTreeBuilder(cols, tcfg)
+		return func(t int) { j.grow(b, t) }
+	})
+	j.finish(X)
+	return j.f, nil
+}
 
-	// Every tree's bootstrap sample and seed are drawn up front, in the
-	// order a one-tree-at-a-time build would draw them, so the trees can
-	// then be built in any order without changing one of them. A sample
-	// is kept as per-row draw counts; rows a tree never drew (weight 0)
-	// are its out-of-bag rows.
-	n := len(X)
-	weights := make([]int32, cfg.Trees*n)
-	seeds := make([]int64, cfg.Trees)
-	for t := range seeds {
-		w := weights[t*n : (t+1)*n]
-		for range n {
-			w[rng.Intn(n)]++
-		}
-		seeds[t] = rng.Int63()
-	}
+// treeConfig is the per-tree configuration of a defaulted forest config;
+// each tree's seed comes from the forest's own draws.
+func (c ForestConfig) treeConfig() TreeConfig {
+	return TreeConfig{MaxDepth: c.MaxDepth, MinLeaf: c.MinLeaf, MaxFeatures: c.MaxFeatures}.withDefaults()
+}
 
-	tcfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, MaxFeatures: cfg.MaxFeatures}.withDefaults()
-	f := &Forest{Classes: classes, Trees: make([]*Tree, cfg.Trees), importance: make([]float64, d)}
+// runTasks runs every task in [0, n) once, on min(workers, n) goroutines
+// counting the caller's, which take the next task in ascending order as
+// they come free. newWorker runs once on each goroutine and returns the
+// function that goroutine runs its tasks with, so per-goroutine scratch
+// lives in its closure. runTasks returns when every task has.
+func runTasks(workers, n int, newWorker func() func(task int)) {
 	var next atomic.Int64
 	work := func() {
-		b := newTreeBuilder(cols, tcfg)
-		for t := int(next.Add(1) - 1); t < cfg.Trees; t = int(next.Add(1) - 1) {
-			f.Trees[t] = b.grow(weights[t*n:(t+1)*n], seeds[t])
+		do := newWorker()
+		for t := int(next.Add(1) - 1); t < n; t = int(next.Add(1) - 1) {
+			do(t)
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(cfg.Workers, cfg.Trees); w++ {
+	for w := 1; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -111,6 +112,52 @@ func TrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) (*Forest
 	}
 	work()
 	wg.Wait()
+}
+
+// forestJob is one forest in training. Every tree's bootstrap sample
+// and seed are drawn up front, in the order a one-tree-at-a-time build
+// would draw them, so the trees can then be grown in any order, on any
+// goroutine, without changing one of them. A sample is kept as per-row
+// draw counts; rows a tree never drew (weight 0) are its out-of-bag
+// rows.
+type forestJob struct {
+	f       *Forest
+	n       int
+	weights []int32 // tree t's draw counts are weights[t*n : (t+1)*n]
+	seeds   []int64
+	cols    *columns
+}
+
+func newForestJob(cols *columns, cfg ForestConfig) *forestJob {
+	rng := stats.NewRand(cfg.Seed)
+	n := len(cols.y)
+	j := &forestJob{
+		f: &Forest{
+			Classes: cols.classes, Trees: make([]*Tree, cfg.Trees),
+			importance: make([]float64, len(cols.dict)),
+		},
+		n: n, weights: make([]int32, cfg.Trees*n), seeds: make([]int64, cfg.Trees),
+		cols: cols,
+	}
+	for t := range j.seeds {
+		w := j.weights[t*n : (t+1)*n]
+		for range n {
+			w[rng.Intn(n)]++
+		}
+		j.seeds[t] = rng.Int63()
+	}
+	return j
+}
+
+// grow builds tree t with b.
+func (j *forestJob) grow(b *treeBuilder, t int) {
+	j.f.Trees[t] = b.grow(j.weights[t*j.n:(t+1)*j.n], j.seeds[t])
+}
+
+// finish sums importance and the out-of-bag error in tree order once
+// every tree is grown. X is the matrix the columns were built from.
+func (j *forestJob) finish(X [][]float64) {
+	f, n, classes := j.f, j.n, j.cols.classes
 	for _, tree := range f.Trees {
 		for i, v := range tree.importance {
 			f.importance[i] += v
@@ -118,12 +165,12 @@ func TrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) (*Forest
 	}
 
 	// Out-of-bag votes, walked through the flat form — compiling here
-	// means every trained forest leaves TrainForest with its inference
+	// means every trained forest leaves training with its inference
 	// engine already built and cached.
 	flat := f.Flat()
 	oobVotes := make([]int, n*classes)
-	for t := 0; t < cfg.Trees; t++ {
-		w := weights[t*n : (t+1)*n]
+	for t := range f.Trees {
+		w := j.weights[t*n : (t+1)*n]
 		for i := 0; i < n; i++ {
 			if w[i] == 0 {
 				oobVotes[i*classes+flat.PredictTree(t, X[i])]++
@@ -148,14 +195,13 @@ func TrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) (*Forest
 			continue
 		}
 		counted++
-		if best != y[i] {
+		if best != j.cols.y[i] {
 			wrong++
 		}
 	}
 	if counted > 0 {
 		f.oobError = float64(wrong) / float64(counted)
 	}
-	return f, nil
 }
 
 // Predict returns the majority-vote class for x. For the class counts
@@ -247,8 +293,9 @@ func topIndices(scores []float64, k int) []int {
 
 // RepresentativeTree returns the single ensemble member whose training
 // behaviour best matches the forest (highest agreement with forest votes
-// on the provided sample) — the portable decision tree the PME distributes
-// to clients.
+// on the provided sample; ties go to the earlier tree) — the portable
+// decision tree the PME distributes to clients. Both the forest votes
+// and the per-tree scoring walk the flat form, tree-major.
 func (f *Forest) RepresentativeTree(X [][]float64) *Tree {
 	if len(f.Trees) == 0 {
 		return nil
@@ -256,15 +303,14 @@ func (f *Forest) RepresentativeTree(X [][]float64) *Tree {
 	if len(X) == 0 {
 		return f.Trees[0]
 	}
+	flat := f.Flat()
 	forestPred := make([]int, len(X))
-	for i, x := range X {
-		forestPred[i] = f.Predict(x)
-	}
-	best, bestAgree := f.Trees[0], -1
-	for _, t := range f.Trees {
+	flat.PredictInto(forestPred, X)
+	best, bestAgree := 0, -1
+	for t := range f.Trees {
 		agree := 0
 		for i, x := range X {
-			if t.Predict(x) == forestPred[i] {
+			if flat.PredictTree(t, x) == forestPred[i] {
 				agree++
 			}
 		}
@@ -272,5 +318,5 @@ func (f *Forest) RepresentativeTree(X [][]float64) *Tree {
 			best, bestAgree = t, agree
 		}
 	}
-	return best
+	return f.Trees[best]
 }

@@ -189,6 +189,29 @@ func TestRepresentativeTree(t *testing.T) {
 	if frac := float64(agree) / float64(len(X)); frac < 0.7 {
 		t.Errorf("representative agreement %.3f", frac)
 	}
+	// The flat-engine pick is the pointer-walk pick, on forests with few
+	// and many trees and on data where several trees tie.
+	sX, sy := sShapedData(500, 17)
+	for _, c := range []struct {
+		X   [][]float64
+		y   []int
+		cfg ForestConfig
+	}{
+		{X, y, ForestConfig{Trees: 15, Seed: 16}},
+		{X, y, ForestConfig{Trees: 3, MaxDepth: 2, Seed: 18}},
+		{sX, sy, ForestConfig{Trees: 25, MaxDepth: 24, MinLeaf: 1, Seed: 19}},
+		{sX, sy, ForestConfig{Trees: 8, MaxDepth: 1, Seed: 20}},
+	} {
+		f, err := TrainForest(c.X, c.y, 4, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rows := range [][][]float64{c.X, c.X[:7], c.X[:1]} {
+			if got, want := f.RepresentativeTree(rows), refRepresentativeTree(f, rows); got != want {
+				t.Errorf("seed %d, %d rows: picked tree %p, pointer walk picks %p", c.cfg.Seed, len(rows), got, want)
+			}
+		}
+	}
 	if f.RepresentativeTree(nil) == nil {
 		t.Error("empty-sample representative should fall back to first tree")
 	}

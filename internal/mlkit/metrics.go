@@ -240,26 +240,6 @@ func Evaluate(X [][]float64, y []int, classes int,
 	return assembleReport(cm, probs, y, classes)
 }
 
-// EvaluateInto is Evaluate for Into-style classifiers: probaInto fills
-// a caller-owned row of length classes. The probability matrix is one
-// backing allocation instead of one slice per test row (the rows must
-// stay distinct — AUC reads them all after the loop), which is what
-// makes cross-validation ride the flat predictor without per-row
-// garbage.
-func EvaluateInto(X [][]float64, y []int, classes int,
-	predict func([]float64) int, probaInto func(dst, x []float64)) Report {
-	cm := NewConfusion(classes)
-	backing := make([]float64, len(X)*classes)
-	probs := make([][]float64, len(X))
-	for i, x := range X {
-		cm.Add(y[i], predict(x))
-		row := backing[i*classes : (i+1)*classes]
-		probaInto(row, x)
-		probs[i] = row
-	}
-	return assembleReport(cm, probs, y, classes)
-}
-
 func assembleReport(cm *Confusion, probs [][]float64, y []int, classes int) Report {
 	return Report{
 		Accuracy:  cm.Accuracy(),

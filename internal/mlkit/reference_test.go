@@ -80,6 +80,116 @@ func refTrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) *Fore
 	return f
 }
 
+// refCrossValidateForest is CrossValidateForest as it was first
+// written: per fold, gather the training and test rows, train a whole
+// forest on them, flatten it and score the test rows.
+func refCrossValidateForest(X [][]float64, y []int, classes, k, runs int,
+	cfg ForestConfig) (Report, error) {
+	if len(X) == 0 || len(X) != len(y) {
+		return Report{}, ErrBadTrainingData
+	}
+	if runs <= 0 {
+		runs = 1
+	}
+	agg := Report{Confusion: NewConfusion(classes)}
+	count := 0
+	for run := 0; run < runs; run++ {
+		folds := KFold(len(X), k, cfg.Seed+int64(run)*7919)
+		for fi, fold := range folds {
+			trX := gather(X, fold.TrainIdx)
+			trY := gatherInt(y, fold.TrainIdx)
+			teX := gather(X, fold.TestIdx)
+			teY := gatherInt(y, fold.TestIdx)
+			fcfg := cfg
+			fcfg.Seed = cfg.Seed + int64(run*1000+fi)
+			forest, err := TrainForest(trX, trY, classes, fcfg)
+			if err != nil {
+				return Report{}, err
+			}
+			flat := forest.Flat()
+			rep := evaluateInto(teX, teY, classes, flat.Predict, flat.PredictProbaInto)
+			agg.Accuracy += rep.Accuracy
+			agg.FPRate += rep.FPRate
+			agg.Precision += rep.Precision
+			agg.Recall += rep.Recall
+			agg.AUCROC += rep.AUCROC
+			for a := 0; a < classes; a++ {
+				for p := 0; p < classes; p++ {
+					agg.Confusion.Cells[a][p] += rep.Confusion.Cells[a][p]
+				}
+			}
+			count++
+		}
+	}
+	f := float64(count)
+	agg.Accuracy /= f
+	agg.FPRate /= f
+	agg.Precision /= f
+	agg.Recall /= f
+	agg.AUCROC /= f
+	return agg, nil
+}
+
+func gather(X [][]float64, idx []int) [][]float64 {
+	out := make([][]float64, len(idx))
+	for i, j := range idx {
+		out[i] = X[j]
+	}
+	return out
+}
+
+func gatherInt(y []int, idx []int) []int {
+	out := make([]int, len(idx))
+	for i, j := range idx {
+		out[i] = y[j]
+	}
+	return out
+}
+
+// evaluateInto is Evaluate for Into-style classifiers: probaInto fills
+// a caller-owned row of length classes.
+func evaluateInto(X [][]float64, y []int, classes int,
+	predict func([]float64) int, probaInto func(dst, x []float64)) Report {
+	cm := NewConfusion(classes)
+	backing := make([]float64, len(X)*classes)
+	probs := make([][]float64, len(X))
+	for i, x := range X {
+		cm.Add(y[i], predict(x))
+		row := backing[i*classes : (i+1)*classes]
+		probaInto(row, x)
+		probs[i] = row
+	}
+	return assembleReport(cm, probs, y, classes)
+}
+
+// refRepresentativeTree is RepresentativeTree on the pointer walk: the
+// forest vote and every tree's vote per row.
+func refRepresentativeTree(f *Forest, X [][]float64) *Tree {
+	if len(f.Trees) == 0 {
+		return nil
+	}
+	if len(X) == 0 {
+		return f.Trees[0]
+	}
+	forestPred := make([]int, len(X))
+	for i, x := range X {
+		forestPred[i] = f.Predict(x)
+	}
+	best, bestAgree := f.Trees[0], -1
+	for _, t := range f.Trees {
+		agree := 0
+		for i, x := range X {
+			if t.Predict(x) == forestPred[i] {
+				agree++
+			}
+		}
+		if agree > bestAgree {
+			best, bestAgree = t, agree
+		}
+	}
+	return best
+}
+
 // refTrainTree is TrainTree without input validation (callers pass
 // well-formed data).
 func refTrainTree(X [][]float64, y []int, classes int, cfg TreeConfig) *Tree {
@@ -368,6 +478,101 @@ func TestForestMatchesReference(t *testing.T) {
 				if math.Float64bits(got.OOBError()) != math.Float64bits(want.OOBError()) {
 					t.Fatalf("%s: OOB %v, want %v", name, got.OOBError(), want.OOBError())
 				}
+			}
+		}
+	}
+}
+
+func sameReport(t *testing.T, what string, got, want Report) {
+	t.Helper()
+	for _, m := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"Accuracy", got.Accuracy, want.Accuracy},
+		{"FPRate", got.FPRate, want.FPRate},
+		{"Precision", got.Precision, want.Precision},
+		{"Recall", got.Recall, want.Recall},
+		{"AUCROC", got.AUCROC, want.AUCROC},
+	} {
+		if math.Float64bits(m.got) != math.Float64bits(m.want) {
+			t.Fatalf("%s: %s = %v, want %v", what, m.name, m.got, m.want)
+		}
+	}
+	for a, row := range want.Confusion.Cells {
+		if !slices.Equal(got.Confusion.Cells[a], row) {
+			t.Fatalf("%s: confusion row %d = %v, want %v", what, a, got.Confusion.Cells[a], row)
+		}
+	}
+}
+
+// TestCrossValidateMatchesReference pins the streamed, fold-parallel
+// cross-validation to the gather-train-flatten-score reference, bit for
+// bit, at several worker counts including more workers than folds.
+// TrainForestCV must return the same report and the forest TrainForest
+// trains, and hand that forest to its callback exactly once.
+func TestCrossValidateMatchesReference(t *testing.T) {
+	nX, ny := noisyData(300, 24)
+	sX, sy := sShapedData(400, 25)
+	// Rare one-hot columns: one set in a single row, one in two rows, so
+	// some folds hold them constant although the whole set does not.
+	rX := slices.Clone(sX)
+	for i := range 2 {
+		rX[i] = slices.Clone(sX[i])
+		rX[i][60+i] = 1
+		rX[i][61] = 1
+	}
+	cases := []struct {
+		name           string
+		X              [][]float64
+		y              []int
+		classes, k, rn int
+		cfg            ForestConfig
+	}{
+		{"noisy", nX, ny, 3, 5, 1, ForestConfig{Trees: 6, Seed: 26}},
+		{"noisy-runs", nX, ny, 3, 4, 3, ForestConfig{Trees: 4, MaxDepth: 5, MinLeaf: 3, Seed: 27}},
+		{"s-shaped", sX, sy, 4, 10, 1, ForestConfig{Trees: 5, MaxDepth: 24, MinLeaf: 1, Seed: 28}},
+		{"rare-columns", rX, sy, 4, 10, 1, ForestConfig{Trees: 4, MaxDepth: 24, MinLeaf: 1, MaxFeatures: 89, Seed: 30}},
+		{"s-shaped-runs", sX, sy, 4, 3, 2, ForestConfig{Trees: 3, MaxDepth: 24, MinLeaf: 1, MaxFeatures: 22, Seed: 29}},
+	}
+	for _, c := range cases {
+		want, err := refCrossValidateForest(c.X, c.y, c.classes, c.k, c.rn, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		for _, workers := range []int{1, 2, 7} {
+			cfg := c.cfg
+			cfg.Workers = workers
+			name := fmt.Sprintf("%s/workers=%d", c.name, workers)
+			got, err := CrossValidateForest(c.X, c.y, c.classes, c.k, c.rn, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sameReport(t, name, got, want)
+
+			calls := 0
+			var handed *Forest
+			forest, rep, err := TrainForestCV(c.X, c.y, c.classes, c.k, c.rn, cfg, func(f *Forest) {
+				calls++
+				handed = f
+			})
+			if err != nil {
+				t.Fatalf("%s: TrainForestCV: %v", name, err)
+			}
+			sameReport(t, name+" TrainForestCV", rep, want)
+			if calls != 1 || handed != forest {
+				t.Fatalf("%s: callback ran %d times with %p, forest %p", name, calls, handed, forest)
+			}
+			ref, err := TrainForest(c.X, c.y, c.classes, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i := range ref.Trees {
+				sameNodes(t, fmt.Sprintf("%s tree %d:", name, i), forest.Trees[i].Root, ref.Trees[i].Root)
+			}
+			sameBits(t, name+" importance", forest.importance, ref.importance)
+			if math.Float64bits(forest.OOBError()) != math.Float64bits(ref.OOBError()) {
+				t.Fatalf("%s: OOB %v, want %v", name, forest.OOBError(), ref.OOBError())
 			}
 		}
 	}

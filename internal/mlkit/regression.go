@@ -48,10 +48,11 @@ func TrainRegressionTree(X [][]float64, y []float64, cfg TreeConfig) (*Regressio
 }
 
 type regBuilder struct {
-	X   [][]float64
-	y   []float64
-	cfg TreeConfig
-	rng *stats.Rand
+	X    [][]float64
+	y    []float64
+	cfg  TreeConfig
+	rng  *stats.Rand
+	perm []int // the node's feature draw
 }
 
 func (b *regBuilder) stats(idx []int) (mean, sse float64) {
@@ -105,7 +106,8 @@ func (b *regBuilder) bestSplit(idx []int, parentSSE float64) (feat int, thr floa
 	bestGain := parentSSE * 1e-9
 	found := false
 	vals := make([]float64, 0, len(idx))
-	for _, f := range b.rng.Perm(d)[:nFeat] {
+	b.perm = b.rng.PermInto(b.perm, d)
+	for _, f := range b.perm[:nFeat] {
 		vals = vals[:0]
 		for _, i := range idx {
 			vals = append(vals, b.X[i][f])

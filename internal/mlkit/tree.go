@@ -162,6 +162,7 @@ type treeBuilder struct {
 	rng        *stats.Rand
 	importance []float64
 
+	perm        []int     // the node's feature draw
 	rows        []sample  // the tree's rows; each node owns a sub-slice
 	spill       []sample  // partition scratch for right-hand rows
 	hist        []int     // rank×class weights of the feature being scanned
@@ -304,7 +305,8 @@ func (b *treeBuilder) bestSplit(rows []sample, parentCounts []int, n int) (feat 
 	if nFeat <= 0 || nFeat > d {
 		nFeat = d
 	}
-	featOrder := b.rng.Perm(d)[:nFeat]
+	b.perm = b.rng.PermInto(b.perm, d)
+	featOrder := b.perm[:nFeat]
 
 	parentGini := gini(parentCounts, n)
 	bestGain := 1e-12

@@ -184,3 +184,22 @@ func (g *Rand) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Perm returns a random permutation of [0, n).
 func (g *Rand) Perm(n int) []int { return g.r.Perm(n) }
+
+// PermInto writes the permutation Perm(n) would return into buf[:n]
+// (reallocating only when buf is too short) and returns it, drawing
+// exactly what Perm draws. This is math/rand's Perm loop, which Go 1
+// compatibility keeps fixed — it even keeps the i=0 draw that always
+// swaps m[0] with itself, because dropping it would change the
+// generator's state.
+func (g *Rand) PermInto(buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	m := buf[:n]
+	for i := range n {
+		j := g.r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}

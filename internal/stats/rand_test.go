@@ -164,3 +164,26 @@ func TestPerm(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// TestPermIntoMatchesPerm checks PermInto against math/rand's Perm on a
+// same-seeded twin: the same permutation for every n, through one
+// reused buffer, and the same generator state afterwards.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	a, b := NewRand(41), NewRand(41)
+	var buf []int
+	for n := 0; n <= 300; n++ {
+		want := a.Perm(n)
+		buf = b.PermInto(buf, n)
+		if len(buf) != n {
+			t.Fatalf("n=%d: len %d", n, len(buf))
+		}
+		for i := range want {
+			if buf[i] != want[i] {
+				t.Fatalf("n=%d: PermInto[%d] = %d, Perm gives %d", n, i, buf[i], want[i])
+			}
+		}
+		if x, y := a.Int63(), b.Int63(); x != y {
+			t.Fatalf("n=%d: next Int63 %d after Perm, %d after PermInto", n, x, y)
+		}
+	}
+}
