@@ -24,7 +24,7 @@ var (
 	modelErr  error
 )
 
-func testModel(t *testing.T) *core.Model {
+func testModel(t testing.TB) *core.Model {
 	t.Helper()
 	modelOnce.Do(func() {
 		eco := rtb.NewEcosystem(rtb.EcosystemConfig{Seed: 5})

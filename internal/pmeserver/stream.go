@@ -122,8 +122,8 @@ func (s *Server) handleEstimateStreamV2(w http.ResponseWriter, r *http.Request) 
 		if len(line) == 0 {
 			continue
 		}
-		var it pme.EstimateItem
-		if err := json.Unmarshal(line, &it); err != nil {
+		it, err := decodeEstimateItem(line)
+		if err != nil {
 			fail("bad_line", fmt.Sprintf("item %d is not a valid JSON object", items+len(chunk)))
 			return
 		}

@@ -167,3 +167,69 @@ func TestEstimateStreamErrors(t *testing.T) {
 		t.Errorf("no-model stream error = %v, want no_model", err)
 	}
 }
+
+// streamRaw POSTs body verbatim to /v2/estimate/stream and returns its
+// response lines.
+func streamRaw(t *testing.T, base, body string) []string {
+	t.Helper()
+	resp, err := http.Post(base+"/v2/estimate/stream", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	var lines []string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	return lines
+}
+
+// TestEstimateStreamWireEdgeCases pins how stream lines that are not
+// the plain shape decode: the way json.Unmarshal reads one line.
+func TestEstimateStreamWireEdgeCases(t *testing.T) {
+	srv, err := New(testModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Variant spellings of one item stream the same estimate as the
+	// plain line.
+	plain := `{"adx":"DoubleClick","city":"Cádiz","slot":"300x250","hour":9}`
+	variants := []string{
+		plain,
+		`{"ADX":"DoubleClick","City":"Cádiz","SLOT":"300x250","Hour":9}`,
+		`{"adx":"DoubleClick","city":"Cádiz","slot":"300x250","hour":9,"unknown":[1,{"x":null}]}`,
+		`  {"hour":9, "slot":"300x250", "city":"Cádiz", "adx":"DoubleClick"}	`,
+	}
+	lines := streamRaw(t, ts.URL, strings.Join(variants, "\n")+"\n")
+	if len(lines) != len(variants)+1 || !strings.Contains(lines[len(variants)], `"done":true`) {
+		t.Fatalf("stream lines = %q", lines)
+	}
+	for i := 1; i < len(variants); i++ {
+		if lines[i] != lines[0] {
+			t.Errorf("variant %d: %s, plain line %s", i, lines[i], lines[0])
+		}
+	}
+
+	// Trailing garbage after the object and non-integer hours are
+	// in-band bad_line errors naming the item's index. Items are
+	// estimated a chunk at a time, so the good item before it is never
+	// answered.
+	for _, bad := range []string{
+		`{"adx":"MoPub"} trailing`,
+		`{"adx":"MoPub"}{"adx":"MoPub"}`,
+		`{"adx":"MoPub","hour":1.5}`,
+		`{"adx":"MoPub","hour":"9"}`,
+	} {
+		lines := streamRaw(t, ts.URL, plain+"\n"+bad+"\n"+plain+"\n")
+		if len(lines) != 1 || !strings.Contains(lines[0], `"bad_line"`) || !strings.Contains(lines[0], "item 1 ") {
+			t.Errorf("%s: stream lines = %q, want one bad_line for item 1", bad, lines)
+		}
+	}
+}

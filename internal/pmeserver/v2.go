@@ -1,6 +1,7 @@
 package pmeserver
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,6 +38,22 @@ func writeV2JSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// maxBodyBytes caps the /v2/estimate and /v2/contribute request bodies.
+const maxBodyBytes = 1 << 20
+
+// writeBadBody answers a request body that could not be read or
+// decoded: 413 body_too_large past maxBodyBytes, else 400 bad_payload
+// with msg.
+func writeBadBody(w http.ResponseWriter, err error, msg string) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeV2Error(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	writeV2Error(w, http.StatusBadRequest, "bad_payload", msg)
 }
 
 // writeV2ServiceError maps a pme.Service error onto the structured v2
@@ -148,9 +165,9 @@ func (s *Server) handleContributeV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var batch []Contribution
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(&batch); err != nil {
-		writeV2Error(w, http.StatusBadRequest, "bad_payload", "contribution batch is not valid JSON")
+		writeBadBody(w, err, "contribution batch is not valid JSON")
 		return
 	}
 	res, err := s.svc.Contribute(r.Context(), batch)
@@ -174,9 +191,19 @@ func (s *Server) handleEstimateV2(w http.ResponseWriter, r *http.Request) {
 		writeV2Error(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
 		return
 	}
-	var req EstimateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
+	// One pooled buffer holds the body and then the reply: the decoded
+	// items copy their strings out of it (see wireScanner).
+	bp := wireBufs.Get().(*[]byte)
+	defer putWireBuf(bp)
+	body := bytes.NewBuffer((*bp)[:0])
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	*bp = body.Bytes()
+	if err != nil {
+		writeBadBody(w, err, "estimate request is not valid JSON")
+		return
+	}
+	req, err := decodeEstimateRequest(*bp)
+	if err != nil {
 		writeV2Error(w, http.StatusBadRequest, "bad_payload", "estimate request is not valid JSON")
 		return
 	}
@@ -186,10 +213,17 @@ func (s *Server) handleEstimateV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("ETag", res.ETag)
-	writeV2JSON(w, http.StatusOK, EstimateResponse{
-		ModelVersion: res.Version,
-		EstimatesCPM: res.EstimatesCPM,
-	})
+	var ok bool
+	if *bp, ok = appendEstimateReply((*bp)[:0], res.Version, res.EstimatesCPM); !ok {
+		// A non-finite estimate: keep encoding/json's answer to it.
+		writeV2JSON(w, http.StatusOK, EstimateResponse{
+			ModelVersion: res.Version,
+			EstimatesCPM: res.EstimatesCPM,
+		})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(*bp)
 }
 
 // --- v2 client methods ---

@@ -230,3 +230,99 @@ func TestContributePoolOverflow(t *testing.T) {
 		t.Errorf("pool holds %d, want 3", n)
 	}
 }
+
+// postEstimateRaw POSTs body verbatim to /v2/estimate and returns the
+// status, the structured error code (if any) and the estimates.
+func postEstimateRaw(t *testing.T, base, body string) (int, string, []float64) {
+	t.Helper()
+	resp, err := http.Post(base+"/v2/estimate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		EstimateResponse
+		Error apiError `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("%s: undecodable reply: %v", body, err)
+	}
+	return resp.StatusCode, out.Error.Code, out.EstimatesCPM
+}
+
+// TestV2EstimateWireEdgeCases pins how /v2/estimate reads bodies that
+// are not the plain shape clients marshal: every case must decode (or
+// fail) the way encoding/json's Decoder.Decode does.
+func TestV2EstimateWireEdgeCases(t *testing.T) {
+	m := testModel(t)
+	srv, _ := New(m)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	local := func(c core.StringContext) float64 {
+		return m.EstimateCPM(m.Features.FromStrings(c))
+	}
+	accept := []struct {
+		name string
+		body string
+		want []core.StringContext
+	}{
+		{"trailing bytes after the object",
+			`{"items":[{"adx":"MoPub","hour":3}]} trailing {garbage`,
+			[]core.StringContext{{ADX: "MoPub", Hour: 3}}},
+		{"unknown fields ignored",
+			`{"items":[{"adx":"OpenX","colour":"red","nested":{"a":[1,2,null]},"slot":"728x90"}],"extra":true}`,
+			[]core.StringContext{{ADX: "OpenX", Slot: "728x90"}}},
+		{"keys match case-insensitively",
+			`{"Items":[{"ADX":"Rubicon","Slot":"300x250","HOUR":22,"weekDay":6}]}`,
+			[]core.StringContext{{ADX: "Rubicon", Slot: "300x250", Hour: 22, Weekday: 6}}},
+		{"escaped and non-ASCII strings",
+			`{"items":[{"adx":"DoubleClick","city":"Cádiz","os":"And\"roid"},{"adx":"MoPub","city":"Cádiz","slot":"300x\/250"}]}`,
+			[]core.StringContext{{ADX: "DoubleClick", City: "Cádiz", OS: `And"roid`}, {ADX: "MoPub", City: "Cádiz", Slot: "300x/250"}}},
+		{"whitespace between tokens",
+			"{ \"items\" :\n[ {\t\"adx\" : \"MoPub\" , \"hour\" : -0 } ]\r\n}\n",
+			[]core.StringContext{{ADX: "MoPub"}}},
+		{"observed timestamp",
+			`{"items":[{"adx":"MoPub","observed":"2016-05-03T09:30:00Z","hour":20}]}`,
+			[]core.StringContext{{ADX: "MoPub", Hour: 9, Weekday: 2}}},
+	}
+	for _, tc := range accept {
+		status, code, got := postEstimateRaw(t, ts.URL, tc.body)
+		if status != http.StatusOK {
+			t.Errorf("%s: status %d (%s), want 200", tc.name, status, code)
+			continue
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: %d estimates, want %d", tc.name, len(got), len(tc.want))
+			continue
+		}
+		for i, c := range tc.want {
+			if want := local(c); got[i] != want {
+				t.Errorf("%s: estimate[%d] = %v, local %v", tc.name, i, got[i], want)
+			}
+		}
+	}
+
+	reject := []struct {
+		name, body string
+		status     int
+		code       string
+	}{
+		{"fractional hour", `{"items":[{"adx":"MoPub","hour":1.5}]}`, http.StatusBadRequest, "bad_payload"},
+		{"exponent hour", `{"items":[{"adx":"MoPub","hour":1e2}]}`, http.StatusBadRequest, "bad_payload"},
+		{"leading-zero hour", `{"items":[{"adx":"MoPub","hour":01}]}`, http.StatusBadRequest, "bad_payload"},
+		{"string adx as number", `{"items":[{"adx":7}]}`, http.StatusBadRequest, "bad_payload"},
+		{"bad observed", `{"items":[{"adx":"MoPub","observed":"yesterday"}]}`, http.StatusBadRequest, "bad_payload"},
+		{"truncated", `{"items":[{"adx":"MoPub"}`, http.StatusBadRequest, "bad_payload"},
+		{"null items", `{"items":null}`, http.StatusBadRequest, "empty_batch"},
+		{"empty items", `{"items":[]}`, http.StatusBadRequest, "empty_batch"},
+		{"no items key", `{}`, http.StatusBadRequest, "empty_batch"},
+		{"null body", `null`, http.StatusBadRequest, "empty_batch"},
+	}
+	for _, tc := range reject {
+		status, code, _ := postEstimateRaw(t, ts.URL, tc.body)
+		if status != tc.status || code != tc.code {
+			t.Errorf("%s: got %d %q, want %d %q", tc.name, status, code, tc.status, tc.code)
+		}
+	}
+}
