@@ -27,9 +27,11 @@
 //	    [-store redis://127.0.0.1:6379] [-replica-id pme-1] [-lease-ttl 10s]
 //	    [-pprof] [-trace-spans 0] [-log-requests]
 //
-// With -once the trained model's metrics are printed and the process
-// exits without serving (useful in scripts; with -store it seeds the
-// shared store). -rate enables the token-bucket limiter (requests/
+// The model publishes as soon as its forest is trained; its §5.4
+// cross-validation finishes afterwards and is logged (and kept as the
+// version's quality record in /v2/stats) when it lands. With -once the
+// process waits for it, prints the metrics and exits without serving
+// (useful in scripts; with -store it seeds the shared store). -rate enables the token-bucket limiter (requests/
 // second; 0 = unlimited). -pprof mounts net/http/pprof under
 // /debug/pprof/. -trace-spans > 0 records that many server-side request
 // spans, served at GET /debug/trace.
@@ -77,6 +79,7 @@ func main() {
 	traceSpans := flag.Int("trace-spans", 0, "record up to this many server-side request spans (0 = off); GET /debug/trace exports them")
 	logRequests := flag.Bool("log-requests", false, "log one structured line per request (with trace IDs)")
 	flag.Parse()
+	start := time.Now()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -196,16 +199,42 @@ func main() {
 		return pipe.TrainModel(pctx, res, camps) // publishes → /readyz flips
 	}
 
+	var model *core.Model
 	if fleet {
 		replica.Start(ctx) // watch the store: adopt published versions
 		exitOn(bootstrapFleet(ctx, replica, logger, runPipeline))
 		if snap := replica.Current(); snap != nil {
-			printModel(snap.Model)
+			model = snap.Model
 		}
 	} else {
-		model, err := runPipeline(ctx)
+		model, err = runPipeline(ctx)
 		exitOn(err)
-		printModel(model)
+	}
+	if model != nil {
+		printModel(model, time.Since(start))
+	}
+	// A model this process trained carries its running cross-validation;
+	// an adopted one was graded by the replica that trained it.
+	if model != nil && model.CV != nil {
+		if *once {
+			m, err := model.CV.Wait(ctx)
+			exitOn(err)
+			printCV(m)
+		} else {
+			go func() {
+				m, err := model.CV.Wait(ctx)
+				if err != nil {
+					logger.Info("§5.4 cross-validation stopped", "version", model.Version, "err", err)
+					return
+				}
+				logger.Info("§5.4 cross-validation done", "version", model.Version,
+					"accuracy", pct(m.Accuracy), "fp_rate", pct(m.FPRate),
+					"precision", pct(m.Precision), "recall", pct(m.Recall),
+					"auc_roc", fmt.Sprintf("%.3f", m.AUCROC),
+					"folds_x_runs", fmt.Sprintf("%dx%d", m.CVFolds, m.CVRuns),
+					"since_start", time.Since(start).Round(time.Millisecond).String())
+			}()
+		}
 	}
 	if *once {
 		return
@@ -297,13 +326,23 @@ func exitOn(err error) {
 	}
 }
 
-func printModel(model *core.Model) {
+// printModel reports the model at publish: what is known before its
+// cross-validation lands.
+func printModel(model *core.Model, ready time.Duration) {
 	m := model.Metrics
-	fmt.Printf("model trained: %d classes, %d records (published as version %d)\n",
-		m.Classes, m.TrainSize, model.Version)
-	fmt.Printf("  accuracy  %.1f%%   (paper 82.9%%)\n", 100*m.Accuracy)
-	fmt.Printf("  FP rate   %.1f%%   (paper 6.8%%)\n", 100*m.FPRate)
-	fmt.Printf("  precision %.1f%%   (paper 83.5%%)\n", 100*m.Precision)
-	fmt.Printf("  AUC-ROC   %.3f   (paper 0.964)\n", m.AUCROC)
+	fmt.Printf("model published as version %d after %s: %d classes, %d records\n",
+		model.Version, ready.Round(time.Millisecond), m.Classes, m.TrainSize)
+	fmt.Printf("  OOB error %s\n", pct(m.OOBError))
 	fmt.Printf("  time-shift coefficient %.3f\n", model.TimeShift)
 }
+
+// printCV reports the §5.4 cross-validated metrics.
+func printCV(m core.ModelMetrics) {
+	fmt.Printf("§5.4 cross-validation (%d folds x %d runs):\n", m.CVFolds, m.CVRuns)
+	fmt.Printf("  accuracy  %s   (paper 82.9%%)\n", pct(m.Accuracy))
+	fmt.Printf("  FP rate   %s   (paper 6.8%%)\n", pct(m.FPRate))
+	fmt.Printf("  precision %s   (paper 83.5%%)\n", pct(m.Precision))
+	fmt.Printf("  AUC-ROC   %.3f   (paper 0.964)\n", m.AUCROC)
+}
+
+func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }

@@ -65,7 +65,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := model.Metrics
+	// Train returns once the forest is built; the cross-validation
+	// finishes after it.
+	m, err := model.CV.Wait(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ntrained 4-class RF: accuracy %.1f%%, FP %.1f%%, AUC-ROC %.3f\n",
 		100*m.Accuracy, 100*m.FPRate, m.AUCROC)
 	fmt.Printf("price classes (CPM representatives): %v\n", model.Binner.Reps)

@@ -1,6 +1,7 @@
 package yourandvalue
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -161,6 +162,19 @@ func (s *Study) Section54() *Table {
 	return t
 }
 
+// trainValidated trains a model and waits for its cross-validation,
+// returning the model with its §5.4 metrics filled in.
+func trainValidated(pme *core.PME, records []campaign.Record, cfg core.TrainConfig) (*core.Model, error) {
+	m, err := pme.Train(records, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if m.Metrics, err = m.CV.Wait(context.Background()); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 // AblationClasses retrains the §5.4 classifier with different price-class
 // counts; the paper found 4 optimal against 5–10.
 func (s *Study) AblationClasses(ks []int) (*Table, error) {
@@ -174,7 +188,7 @@ func (s *Study) AblationClasses(ks []int) (*Table, error) {
 		pme.Classes = k
 		pme.ForestSize = min(s.Config.ForestSize, 20)
 		pme.CVFolds, pme.CVRuns = 5, 1
-		m, err := pme.Train(s.A1.Records, core.TrainConfig{})
+		m, err := trainValidated(pme, s.A1.Records, core.TrainConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -198,11 +212,11 @@ func (s *Study) AblationPublisher() (*Table, error) {
 	pme := core.NewPME(s.Config.Seed + 21)
 	pme.ForestSize = min(s.Config.ForestSize, 16)
 	pme.CVFolds, pme.CVRuns = 5, 1
-	without, err := pme.Train(s.A1.Records, core.TrainConfig{})
+	without, err := trainValidated(pme, s.A1.Records, core.TrainConfig{})
 	if err != nil {
 		return nil, err
 	}
-	with, err := pme.Train(s.A1.Records, core.TrainConfig{WithPublishers: true})
+	with, err := trainValidated(pme, s.A1.Records, core.TrainConfig{WithPublishers: true})
 	if err != nil {
 		return nil, err
 	}

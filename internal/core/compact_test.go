@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -45,6 +47,55 @@ func TestCompactModelRoundTrip(t *testing.T) {
 	}
 	if back.Metrics.TrainSize != f.model.Metrics.TrainSize {
 		t.Error("metrics lost")
+	}
+}
+
+// TestDecodeParentFormatMetrics: blobs whose metrics still carry the
+// cross-validated fields in the model itself — the format published
+// while the cross-validation ran before publish — decode, in both
+// encodings, with those fields intact.
+func TestDecodeParentFormatMetrics(t *testing.T) {
+	f := pipeline(t)
+	old := ModelMetrics{Accuracy: 0.5875, FPRate: 0.137, Precision: 0.58, Recall: 0.5875,
+		AUCROC: 0.83, Classes: 4, TrainSize: 8640}
+	oldJSON := `{"accuracy":0.5875,"fp_rate":0.137,"precision":0.58,"recall":0.5875,"auc_roc":0.83,"classes":4,"train_size":8640}`
+	m := f.model.CloneWithVersion(1, f.model.TrainedAt)
+	m.Metrics = ModelMetrics{Classes: 4, TrainSize: 8640}
+	const published = `"metrics":{"oob_error":0,"classes":4,"train_size":8640}`
+
+	blob, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(blob, []byte(published)) {
+		t.Fatal("encoded metrics not in the expected form")
+	}
+	back, err := DecodeModel(bytes.Replace(blob, []byte(published), []byte(`"metrics":`+oldJSON), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Metrics != old {
+		t.Fatalf("JSON blob metrics %+v, want %+v", back.Metrics, old)
+	}
+
+	compact, err := m.EncodeCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The header is length-prefixed: rewrite it and its length.
+	hdrLen := int(binary.LittleEndian.Uint32(compact[6:]))
+	hdr := bytes.Replace(compact[10:10+hdrLen], []byte(published), []byte(`"metrics":`+oldJSON), 1)
+	if bytes.Equal(hdr, compact[10:10+hdrLen]) {
+		t.Fatal("compact header metrics not in the expected form")
+	}
+	parent := binary.LittleEndian.AppendUint32(slices.Clone(compact[:6]), uint32(len(hdr)))
+	parent = append(append(parent, hdr...), compact[10+hdrLen:]...)
+	cback, err := DecodeCompactModel(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cback.Metrics != old {
+		t.Fatalf("compact blob metrics %+v, want %+v", cback.Metrics, old)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,8 +29,14 @@ type Model struct {
 	// TimeShift is the multiplicative 2015→campaign-time price correction
 	// estimated from cleartext campaigns (§6.2): median(A2)/median(D).
 	TimeShift float64 `json:"time_shift"`
-	// Metrics records the cross-validated §5.4 evaluation of the model.
+	// Metrics records what is known of the model when it is published:
+	// its out-of-bag error, class count and training-set size. The §5.4
+	// cross-validation lands later, through CV.
 	Metrics ModelMetrics `json:"metrics"`
+	// CV is the §5.4 cross-validation of the Train call that produced
+	// the model, still running when Train returns. Clones share it; it is
+	// nil for decoded and retrained models.
+	CV *Validation `json:"-"`
 
 	// flatForest/flatTree carry the inference engines of a compact-blob
 	// decode, which ships no pointer nodes at all. Models that do have a
@@ -41,15 +48,47 @@ type Model struct {
 	flatTree   *mlkit.FlatForest
 }
 
-// ModelMetrics is the §5.4 metric bundle in serializable form.
+// ModelMetrics is a model's quality bundle in serializable form: the
+// forest's out-of-bag error, known at publish, and the §5.4
+// cross-validated metrics with the protocol that produced them, which
+// are zero (and not encoded) until Validation.Wait fills them in.
 type ModelMetrics struct {
-	Accuracy  float64 `json:"accuracy"`
-	FPRate    float64 `json:"fp_rate"`
-	Precision float64 `json:"precision"`
-	Recall    float64 `json:"recall"`
-	AUCROC    float64 `json:"auc_roc"`
+	OOBError  float64 `json:"oob_error"`
+	Accuracy  float64 `json:"accuracy,omitempty"`
+	FPRate    float64 `json:"fp_rate,omitempty"`
+	Precision float64 `json:"precision,omitempty"`
+	Recall    float64 `json:"recall,omitempty"`
+	AUCROC    float64 `json:"auc_roc,omitempty"`
+	CVFolds   int     `json:"cv_folds,omitempty"`
+	CVRuns    int     `json:"cv_runs,omitempty"`
 	Classes   int     `json:"classes"`
 	TrainSize int     `json:"train_size"`
+}
+
+// Validation is the §5.4 cross-validation of one Train call. Its folds
+// run on Train's workers after Train has returned the model.
+type Validation struct {
+	metrics     ModelMetrics // the model's, at publish
+	folds, runs int
+	run         *mlkit.CVRun
+	stop        context.CancelFunc
+}
+
+// Wait returns the model's metrics with the cross-validated fields
+// filled in, once every fold is scored. If ctx ends first, Wait returns
+// ctx.Err() and the folds stop at the next fold boundary: a report its
+// waiter gave up on is not worth the CPU.
+func (v *Validation) Wait(ctx context.Context) (ModelMetrics, error) {
+	rep, err := v.run.Wait(ctx)
+	if err != nil {
+		v.stop()
+		return ModelMetrics{}, err
+	}
+	m := v.metrics
+	m.Accuracy, m.FPRate, m.Precision, m.Recall, m.AUCROC =
+		rep.Accuracy, rep.FPRate, rep.Precision, rep.Recall, rep.AUCROC
+	m.CVFolds, m.CVRuns = v.folds, v.runs
+	return m, nil
 }
 
 // CloneWithVersion returns a copy of m stamped with new version
@@ -147,9 +186,9 @@ type PME struct {
 	// Seed drives training determinism.
 	Seed int64
 	// Workers is the number of goroutines training runs on (≤1: one
-	// thing after another): the cross-validation folds and the served
-	// forest's trees share them. The model is byte-identical at any
-	// worker count.
+	// thing after another): the served forest's trees and, after them,
+	// the cross-validation folds share them. The model and its
+	// cross-validated metrics are identical at any worker count.
 	Workers int
 }
 
@@ -176,8 +215,10 @@ type TrainConfig struct {
 
 // Train fits the full §5.4 pipeline on A1 (encrypted-exchange) campaign
 // records: log-normalize prices, discretize into balanced classes, train
-// a random forest on S vectors, cross-validate, and package the portable
-// model.
+// a random forest on S vectors, and package the portable model. It
+// returns as soon as the forest, its out-of-bag error and its
+// representative tree exist; the cross-validation keeps running on the
+// same workers and lands through the model's CV.
 func (p *PME) Train(records []campaign.Record, cfg TrainConfig) (*Model, error) {
 	if len(records) < p.Classes*10 {
 		return nil, ErrNoTrainingData
@@ -222,13 +263,15 @@ func (p *PME) Train(records []campaign.Record, cfg TrainConfig) (*Model, error) 
 	if runs < 1 {
 		runs = 2
 	}
-	// The served forest and its representative tree train in the same
-	// worker budget as the cross-validation folds, filling it as the
-	// folds drain.
+	// The served forest's trees take the workers first; the
+	// representative tree is picked on the goroutine that finishes the
+	// last of them, and the folds follow.
 	var tree *mlkit.Tree
-	forest, rep, err := mlkit.TrainForestCV(X, y, binner.Classes(), folds, runs, fcfg,
+	ctx, stop := context.WithCancel(context.Background())
+	forest, run, err := mlkit.StartForestCV(ctx, X, y, binner.Classes(), folds, runs, fcfg,
 		func(f *mlkit.Forest) { tree = f.RepresentativeTree(X) })
 	if err != nil {
+		stop()
 		return nil, err
 	}
 
@@ -245,6 +288,11 @@ func (p *PME) Train(records []campaign.Record, cfg TrainConfig) (*Model, error) 
 		}
 	}
 
+	metrics := ModelMetrics{
+		OOBError:  forest.OOBError(),
+		Classes:   binner.Classes(),
+		TrainSize: len(records),
+	}
 	return &Model{
 		Version:   1,
 		TrainedAt: time.Date(2016, 6, 15, 0, 0, 0, 0, time.UTC),
@@ -253,15 +301,8 @@ func (p *PME) Train(records []campaign.Record, cfg TrainConfig) (*Model, error) 
 		Forest:    forest,
 		Tree:      tree,
 		TimeShift: shift,
-		Metrics: ModelMetrics{
-			Accuracy:  rep.Accuracy,
-			FPRate:    rep.FPRate,
-			Precision: rep.Precision,
-			Recall:    rep.Recall,
-			AUCROC:    rep.AUCROC,
-			Classes:   binner.Classes(),
-			TrainSize: len(records),
-		},
+		Metrics:   metrics,
+		CV:        &Validation{metrics: metrics, folds: folds, runs: runs, run: run, stop: stop},
 	}, nil
 }
 

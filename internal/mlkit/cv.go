@@ -1,6 +1,7 @@
 package mlkit
 
 import (
+	"context"
 	"sync/atomic"
 
 	"yourandvalue/internal/stats"
@@ -51,23 +52,65 @@ func KFold(n, k int, seed int64) []Fold {
 // goroutines; the report does not depend on how many.
 func CrossValidateForest(X [][]float64, y []int, classes, k, runs int,
 	cfg ForestConfig) (Report, error) {
-	_, rep, err := crossValidate(X, y, classes, k, runs, cfg, false, nil)
-	return rep, err
+	_, cv, err := crossValidate(context.Background(), X, y, classes, k, runs, cfg, false, nil)
+	if err != nil {
+		return Report{}, err
+	}
+	return cv.Wait(context.Background())
 }
 
 // TrainForestCV returns what TrainForest(X, y, classes, cfg) and
 // CrossValidateForest(X, y, classes, k, runs, cfg) return, computed
-// together: one column set and one pool of cfg.Workers goroutines
-// serve both, the forest's trees queued behind the folds so they fill
-// the pool as the folds drain. If then is non-nil it runs once the
-// forest is trained, on the pool goroutine that finished it, before
-// TrainForestCV returns.
+// together by StartForestCV and waited for. If then is non-nil it runs
+// once the forest is trained, on the pool goroutine that finished it,
+// before TrainForestCV returns.
 func TrainForestCV(X [][]float64, y []int, classes, k, runs int,
 	cfg ForestConfig, then func(*Forest)) (*Forest, Report, error) {
-	return crossValidate(X, y, classes, k, runs, cfg, true, then)
+	f, cv, err := StartForestCV(context.Background(), X, y, classes, k, runs, cfg, then)
+	if err != nil {
+		return nil, Report{}, err
+	}
+	rep, err := cv.Wait(context.Background())
+	return f, rep, err
 }
 
-// crossValidate is CrossValidateForest, and with serve TrainForestCV.
+// StartForestCV trains the forest TrainForest(X, y, classes, cfg)
+// trains and starts CrossValidateForest(X, y, classes, k, runs, cfg)
+// beside it: one column set and one pool of cfg.Workers goroutines
+// serve both, the forest's trees queued ahead of the folds. It returns
+// as soon as the forest is trained and then (if non-nil) has run, on
+// the pool goroutine that finished the last tree; the folds keep
+// running on the pool, and the returned CVRun collects their report.
+// Past that point the run holds no reference to X, the forest's
+// bootstrap draws or then.
+//
+// ctx bounds the folds: once it ends, each pool goroutine finishes the
+// fold it is on, takes no other, and the run reports ctx.Err(). The
+// served forest is always finished.
+func StartForestCV(ctx context.Context, X [][]float64, y []int, classes, k, runs int,
+	cfg ForestConfig, then func(*Forest)) (*Forest, *CVRun, error) {
+	return crossValidate(ctx, X, y, classes, k, runs, cfg, true, then)
+}
+
+// CVRun is a cross-validation running on its pool.
+type CVRun struct {
+	done chan struct{} // closed once every pool goroutine has exited
+	rep  Report
+	err  error
+}
+
+// Wait returns the cross-validation's report once every fold is scored
+// and the pool has exited, or ctx.Err() if ctx ends first.
+func (r *CVRun) Wait(ctx context.Context) (Report, error) {
+	select {
+	case <-r.done:
+		return r.rep, r.err
+	case <-ctx.Done():
+		return Report{}, ctx.Err()
+	}
+}
+
+// crossValidate is CrossValidateForest, and with serve StartForestCV.
 //
 // Every fold trains on the rows fold.TrainIdx of one column set built
 // over all of X. That is exact: each split statistic is an integer sum
@@ -78,15 +121,19 @@ func TrainForestCV(X [][]float64, y []int, classes, k, runs int,
 // tree t's bootstrap counts, then its seed, are drawn in the order
 // TrainForest draws them, the tree is grown, its votes over the fold's
 // test rows are added, and the tree is dropped. No fold forest is kept.
-func crossValidate(X [][]float64, y []int, classes, k, runs int,
-	cfg ForestConfig, serve bool, then func(*Forest)) (*Forest, Report, error) {
+//
+// The pool runs on its own goroutines; crossValidate waits only for the
+// served forest (with serve) or for nothing.
+func crossValidate(ctx context.Context, X [][]float64, y []int, classes, k, runs int,
+	cfg ForestConfig, serve bool, then func(*Forest)) (*Forest, *CVRun, error) {
 	cols, err := newColumns(X, y, classes)
 	if err != nil {
-		return nil, Report{}, err
+		return nil, nil, err
 	}
 	if runs <= 0 {
 		runs = 1
 	}
+	n := len(X)
 	cfg = cfg.withDefaults(len(X[0]))
 	type foldJob struct {
 		Fold
@@ -94,47 +141,78 @@ func crossValidate(X [][]float64, y []int, classes, k, runs int,
 	}
 	var folds []foldJob
 	for run := 0; run < runs; run++ {
-		for fi, fold := range KFold(len(X), k, cfg.Seed+int64(run)*7919) {
+		for fi, fold := range KFold(n, k, cfg.Seed+int64(run)*7919) {
 			if len(fold.TrainIdx) == 0 {
-				return nil, Report{}, ErrBadTrainingData // k clamps to n: n = 1 trains on nothing
+				return nil, nil, ErrBadTrainingData // k clamps to n: n = 1 trains on nothing
 			}
 			folds = append(folds, foldJob{fold, cfg.Seed + int64(run*1000+fi)})
 		}
 	}
 
+	// The served forest's trees are tasks [0, trees), the folds follow.
+	// ready runs once, on the goroutine that grows the last tree, and is
+	// then dropped, and with it the closure's hold on X and then.
+	trees := 0
 	var job *forestJob
-	tasks := len(folds)
 	var treesLeft atomic.Int64
+	var ready func()
+	readyCh := make(chan struct{})
 	if serve {
+		trees = cfg.Trees
 		job = newForestJob(cols, cfg)
-		tasks += cfg.Trees
-		treesLeft.Store(int64(cfg.Trees))
-	}
-	reps := make([]Report, len(folds))
-	tcfg := cfg.treeConfig()
-	runTasks(cfg.Workers, tasks, func() func(int) {
-		b := newTreeBuilder(cols, tcfg)
-		var w []int32
-		return func(task int) {
-			if task < len(folds) {
-				if w == nil {
-					w = make([]int32, len(X))
-				}
-				reps[task] = validateFold(b, w, X, folds[task].Fold, folds[task].seed, cfg.Trees)
-				return
-			}
-			job.grow(b, task-len(folds))
-			if treesLeft.Add(-1) == 0 {
-				job.finish(X)
-				if then != nil {
-					then(job.f)
-				}
+		treesLeft.Store(int64(trees))
+		ready = func() {
+			job.finish(X)
+			if then != nil {
+				then(job.f)
 			}
 		}
-	})
+	}
+	cv := &CVRun{done: make(chan struct{})}
+	reps := make([]Report, len(folds))
+	var skipped atomic.Bool
+	tcfg := cfg.treeConfig()
+	go func() {
+		defer close(cv.done)
+		runTasks(cfg.Workers, trees+len(folds), func() func(int) {
+			b := newTreeBuilder(cols, tcfg)
+			var s foldScratch
+			return func(task int) {
+				if task >= trees {
+					if ctx.Err() != nil {
+						skipped.Store(true)
+						return
+					}
+					fold := folds[task-trees]
+					reps[task-trees] = validateFold(b, &s, fold.Fold, fold.seed, cfg.Trees)
+					return
+				}
+				job.grow(b, task)
+				if treesLeft.Add(-1) == 0 {
+					ready()
+					ready = nil
+					job.weights = nil
+					close(readyCh)
+				}
+			}
+		})
+		if skipped.Load() {
+			cv.err = ctx.Err()
+			return
+		}
+		cv.rep = meanReport(reps, classes)
+	}()
+	if !serve {
+		return nil, cv, nil
+	}
+	<-readyCh
+	return job.f, cv, nil
+}
 
-	// Summed in (run, fold) order, so the float means do not depend on
-	// which fold finished first.
+// meanReport averages the fold reports and sums their confusions, in
+// (run, fold) order, so the float means do not depend on which fold
+// finished first.
+func meanReport(reps []Report, classes int) Report {
 	agg := Report{Confusion: NewConfusion(classes)}
 	for _, rep := range reps {
 		agg.Accuracy += rep.Accuracy
@@ -154,42 +232,67 @@ func crossValidate(X [][]float64, y []int, classes, k, runs int,
 	agg.Precision /= f
 	agg.Recall /= f
 	agg.AUCROC /= f
-	var forest *Forest
-	if job != nil {
-		forest = job.f
-	}
-	return forest, agg, nil
+	return agg
+}
+
+// foldScratch is one pool goroutine's buffers for validateFold: the
+// bootstrap counts, indexed by row of the full column set, and the
+// fold's test rows rebuilt from the rank columns.
+type foldScratch struct {
+	w    []int32
+	vals []float64
+	rows [][]float64
 }
 
 // validateFold streams one fold's forest of `trees` trees through b and
-// scores it on the fold's test rows. w is an n-long scratch buffer for
-// each tree's bootstrap counts, indexed by row of the full column set:
-// drawing local index i of the fold counts a copy of row TrainIdx[i],
-// so the tree's samples stay in ascending row order. The report
-// rebuilds the forest's votes exactly as FlatForest.Predict and
-// PredictProbaInto count them: argmax with ties to the lower class,
+// scores it on the fold's test rows. Drawing local index i of the fold
+// counts a copy of row TrainIdx[i] in s.w, so the tree's samples stay in
+// ascending row order. The test rows are rebuilt from the rank columns,
+// row[f] = dict[f][rank[f][r]]: exactly the X values, since each
+// dictionary value is the value its rank stands for (NaN is rejected).
+// The report rebuilds the forest's votes exactly as FlatForest.Predict
+// and PredictProbaInto count them: argmax with ties to the lower class,
 // and vote shares of votes/trees.
-func validateFold(b *treeBuilder, w []int32, X [][]float64, fold Fold, seed int64, trees int) Report {
-	classes := b.cols.classes
+func validateFold(b *treeBuilder, s *foldScratch, fold Fold, seed int64, trees int) Report {
+	cols := b.cols
+	classes, d := cols.classes, len(cols.dict)
+	if s.w == nil {
+		s.w = make([]int32, len(cols.y))
+	}
+	w := s.w
+	test := fold.TestIdx
+	if cap(s.vals) < len(test)*d {
+		s.vals = make([]float64, len(test)*d)
+		s.rows = make([][]float64, len(test))
+	}
+	rows := s.rows[:len(test)]
+	for i, r := range test {
+		row := s.vals[i*d : (i+1)*d]
+		for f, dict := range cols.dict {
+			row[f] = dict[cols.rank[f][r]]
+		}
+		rows[i] = row
+	}
+
 	rng := stats.NewRand(seed)
 	m := len(fold.TrainIdx)
-	votes := make([]int, len(fold.TestIdx)*classes)
+	votes := make([]int, len(test)*classes)
 	for range trees {
 		clear(w)
 		for range m {
 			w[fold.TrainIdx[rng.Intn(m)]]++
 		}
 		tree := b.grow(w, rng.Int63())
-		for i, r := range fold.TestIdx {
-			votes[i*classes+tree.Predict(X[r])]++
+		for i, row := range rows {
+			votes[i*classes+tree.Predict(row)]++
 		}
 	}
 
 	cm := NewConfusion(classes)
-	teY := make([]int, len(fold.TestIdx))
+	teY := make([]int, len(test))
 	shares := make([]float64, len(votes))
-	probs := make([][]float64, len(fold.TestIdx))
-	for i, r := range fold.TestIdx {
+	probs := make([][]float64, len(test))
+	for i, r := range test {
 		best, bestN := 0, -1
 		p := shares[i*classes : (i+1)*classes]
 		for c, v := range votes[i*classes : (i+1)*classes] {
@@ -198,7 +301,7 @@ func validateFold(b *treeBuilder, w []int32, X [][]float64, fold Fold, seed int6
 			}
 			p[c] = float64(v) / float64(trees)
 		}
-		teY[i] = b.cols.y[r]
+		teY[i] = cols.y[r]
 		cm.Add(teY[i], best)
 		probs[i] = p
 	}

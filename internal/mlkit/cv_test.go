@@ -1,10 +1,15 @@
 package mlkit
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"yourandvalue/internal/stats"
 )
@@ -106,6 +111,129 @@ func TestCrossValidateDegenerateFolds(t *testing.T) {
 				t.Errorf("%s/workers=%d: TrainForestCV err %v", c.name, workers, err)
 			}
 		}
+	}
+}
+
+// TestStartForestCVReadyFirst pins the ready-first path at worker
+// counts {1, 2, 7}: StartForestCV returns the forest TrainForest trains,
+// node for node with the same importance and OOB error, after its
+// callback ran exactly once; the report that lands later is
+// CrossValidateForest's, bit for bit and cell for cell.
+func TestStartForestCVReadyFirst(t *testing.T) {
+	X, y := sShapedData(400, 33)
+	base := ForestConfig{Trees: 6, MaxDepth: 24, MinLeaf: 1, Seed: 34}
+	want, err := CrossValidateForest(X, y, 4, 10, 1, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 7} {
+		cfg := base
+		cfg.Workers = workers
+		name := fmt.Sprintf("workers=%d", workers)
+		ref, err := TrainForest(X, y, 4, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := 0
+		forest, cv, err := StartForestCV(context.Background(), X, y, 4, 10, 1, cfg, func(*Forest) { calls++ })
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if calls != 1 {
+			t.Fatalf("%s: callback ran %d times before StartForestCV returned", name, calls)
+		}
+		for i := range ref.Trees {
+			sameNodes(t, fmt.Sprintf("%s tree %d:", name, i), forest.Trees[i].Root, ref.Trees[i].Root)
+		}
+		sameBits(t, name+" importance", forest.importance, ref.importance)
+		if math.Float64bits(forest.OOBError()) != math.Float64bits(ref.OOBError()) {
+			t.Fatalf("%s: OOB %v, want %v", name, forest.OOBError(), ref.OOBError())
+		}
+		got, err := cv.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameReport(t, name, got, want)
+	}
+}
+
+// TestStartForestCVCancel: a run whose context has ended still returns
+// the whole forest, takes no fold after the next fold boundary, and
+// reports the context's error once its pool has exited. Cancelled
+// before the start, it runs no fold; cancelled from the ready callback,
+// it runs none on one worker, and elsewhere either stops or, if every
+// fold was already taken, reports the full report — never a partial one.
+func TestStartForestCVCancel(t *testing.T) {
+	X, y := sShapedData(400, 35)
+	for _, workers := range []int{1, 2, 7} {
+		cfg := ForestConfig{Trees: 4, MaxDepth: 24, MinLeaf: 1, Seed: 36, Workers: workers}
+		want, err := CrossValidateForest(X, y, 4, 10, 1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		forest, cv, err := StartForestCV(ctx, X, y, 4, 10, 1, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(forest.Trees) != 4 || forest.Trees[3] == nil {
+			t.Fatalf("workers=%d: forest not finished", workers)
+		}
+		if _, err := cv.Wait(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: Wait(cancelled ctx) = %v", workers, err)
+		}
+		// Returns only after every pool goroutine has exited.
+		if _, err := cv.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: run cancelled before start reported %v", workers, err)
+		}
+
+		ctx, cancel = context.WithCancel(context.Background())
+		_, cv, err = StartForestCV(ctx, X, y, 4, 10, 1, cfg, func(*Forest) { cancel() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cv.Wait(context.Background())
+		switch {
+		case errors.Is(err, context.Canceled):
+		case err == nil && workers > 1:
+			sameReport(t, fmt.Sprintf("workers=%d", workers), got, want)
+		default:
+			t.Fatalf("workers=%d: run cancelled at ready reported %v", workers, err)
+		}
+	}
+}
+
+// TestStartForestCVReleasesX: past ready the folds score from the rank
+// columns, so X (and the callback holding it) is garbage while they run.
+func TestStartForestCVReleasesX(t *testing.T) {
+	X, y := sShapedData(3000, 37)
+	var freed atomic.Int64
+	for i := range X {
+		row := slices.Clone(X[i])
+		runtime.SetFinalizer(&row[0], func(*float64) { freed.Add(1) })
+		X[i] = row
+	}
+	n := int64(len(X))
+	cfg := ForestConfig{Trees: 10, MaxDepth: 24, MinLeaf: 1, Seed: 38, Workers: 2}
+	_, cv, err := StartForestCV(context.Background(), X, y, 4, 10, 3, cfg,
+		func(f *Forest) { f.RepresentativeTree(X) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	X = nil
+	for freed.Load() < n {
+		select {
+		case <-cv.done:
+			t.Fatalf("cross-validation finished with %d of %d rows of X still reachable", n-freed.Load(), n)
+		default:
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if _, err := cv.Wait(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,6 +1,10 @@
 package pme
 
-import "yourandvalue/internal/core"
+import (
+	"context"
+
+	"yourandvalue/internal/core"
+)
 
 // ModelSource abstracts where models come from and go to: the local
 // *Registry (single-binary deployment, exactly the pre-fleet behavior)
@@ -14,6 +18,22 @@ type ModelSource interface {
 	Current() *Snapshot
 	// Publish makes m the next model version and returns its snapshot.
 	Publish(m *core.Model) (*Snapshot, error)
+}
+
+// QualitySink is the optional side of a ModelSource that keeps a
+// quality record per published version: the boot pipeline publishes a
+// model whose §5.4 cross-validation is still running and hands the run
+// over through TrackQuality. *Registry and *Replica implement it.
+type QualitySink interface {
+	// TrackQuality records version's cross-validation as pending and
+	// completes the record when cv's report arrives.
+	TrackQuality(version int, cv CrossValidation)
+}
+
+// CrossValidation is a published model's cross-validation, still
+// running; *core.Validation implements it.
+type CrossValidation interface {
+	Wait(ctx context.Context) (core.ModelMetrics, error)
 }
 
 // PoolBackend abstracts where contributions pool: in-process (*Pool) or
@@ -44,6 +64,10 @@ type PoolBackend interface {
 var (
 	_ ModelSource = (*Registry)(nil)
 	_ ModelSource = (*Replica)(nil)
-	_ PoolBackend = (*Pool)(nil)
-	_ PoolBackend = (*StorePool)(nil)
+	_ QualitySink = (*Registry)(nil)
+	_ QualitySink = (*Replica)(nil)
+
+	_ CrossValidation = (*core.Validation)(nil)
+	_ PoolBackend     = (*Pool)(nil)
+	_ PoolBackend     = (*StorePool)(nil)
 )

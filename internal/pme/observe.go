@@ -1,6 +1,7 @@
 package pme
 
 import (
+	"yourandvalue/internal/core"
 	"yourandvalue/internal/obs"
 )
 
@@ -16,6 +17,9 @@ import (
 //	pme_model_publishes_total     counter  lifetime hot-swaps (publishes + rollbacks)
 //	pme_model_nodes               gauge    flat-forest node count of the serving model
 //	pme_model_blob_bytes{format}  gauge    serving blob size per representation (json|flat)
+//	pme_model_oob_error           gauge    out-of-bag error of the serving model
+//	pme_model_cv_accuracy         gauge    §5.4 CV accuracy of the latest quality record (0 until done)
+//	pme_model_cv_auc              gauge    §5.4 CV AUC-ROC of the latest quality record (0 until done)
 //	pme_pool_depth                gauge    current pool occupancy
 //	pme_pool_trainable            gauge    pooled entries with a usable cleartext label
 //	pme_pool_accepted_total       counter  lifetime accepted contributions
@@ -65,6 +69,17 @@ func Instrument(r *obs.Registry, reg *Registry, pool PoolBackend) {
 				}
 				return 0
 			})
+		r.GaugeFunc("pme_model_oob_error", "Out-of-bag error of the serving model's forest (0 before the first publish).", nil,
+			func() float64 {
+				if snap := reg.Current(); snap != nil && snap.Model != nil {
+					return snap.Model.Metrics.OOBError
+				}
+				return 0
+			})
+		r.GaugeFunc("pme_model_cv_accuracy", "Cross-validated accuracy of the latest quality record (0 until one is done).", nil,
+			func() float64 { return doneQuality(reg).Accuracy })
+		r.GaugeFunc("pme_model_cv_auc", "Cross-validated AUC-ROC of the latest quality record (0 until one is done).", nil,
+			func() float64 { return doneQuality(reg).AUCROC })
 	}
 	if pool != nil {
 		r.GaugeFunc("pme_pool_depth", "Contributions currently pooled awaiting retrain.", nil,
@@ -78,6 +93,15 @@ func Instrument(r *obs.Registry, reg *Registry, pool PoolBackend) {
 		r.CounterFunc("pme_pool_drained_total", "Pooled entries consumed by retrain drains.", nil,
 			func() float64 { return float64(pool.Drained()) })
 	}
+}
+
+// doneQuality returns the metrics of reg's latest quality record once
+// it is done, else zero metrics.
+func doneQuality(reg *Registry) core.ModelMetrics {
+	if q := reg.Quality(); q != nil && q.Metrics != nil {
+		return *q.Metrics
+	}
+	return core.ModelMetrics{}
 }
 
 // InstrumentRetrainer registers the retrain-loop series on an obs

@@ -2,6 +2,7 @@ package pme
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -313,6 +314,50 @@ func TestRetrainOncePublishesNewVersion(t *testing.T) {
 	}
 	if res.Version != snap.Version {
 		t.Errorf("serving version %d after retrain, want %d", res.Version, snap.Version)
+	}
+}
+
+// TestRetrainPublishesOOBError: every version carries the out-of-bag
+// error of its forest, retrained ones included, and no version
+// advertises cross-validated metrics it does not have — a retrain
+// neither keeps its base's running cross-validation nor encodes an
+// accuracy of 0.
+func TestRetrainPublishesOOBError(t *testing.T) {
+	reg := NewRegistry()
+	pool := NewPool(0)
+	base, err := reg.Publish(testModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRetrainer(reg, pool, RetrainConfig{MinSamples: 40, ForestSize: 5, Seed: 7})
+	pool.Add(retrainContributions(120))
+	snap, err := rt.RetrainOnce(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := snap.Model.Metrics.OOBError, snap.Model.Forest.OOBError(); got != want || got <= 0 {
+		t.Fatalf("retrained OOB error %v, forest's %v", got, want)
+	}
+	if snap.Model.CV != nil {
+		t.Fatal("retrained model kept its base's cross-validation")
+	}
+	for _, s := range []*Snapshot{base, snap} {
+		var blob struct {
+			Metrics map[string]any `json:"metrics"`
+		}
+		if err := json.Unmarshal(s.Blob, &blob); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := blob.Metrics["oob_error"]; !ok {
+			t.Errorf("version %d blob metrics %v lack oob_error", s.Version, blob.Metrics)
+		}
+		if _, ok := blob.Metrics["accuracy"]; ok {
+			t.Errorf("version %d blob advertises accuracy before any cross-validation: %v", s.Version, blob.Metrics)
+		}
+	}
+	hist := reg.History()
+	if len(hist) != 2 || hist[0].OOBError != base.Model.Metrics.OOBError || hist[1].OOBError != snap.Model.Metrics.OOBError {
+		t.Fatalf("history %+v", hist)
 	}
 }
 

@@ -1,6 +1,7 @@
 package pme
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -36,6 +37,26 @@ type SnapshotInfo struct {
 	ETag        string    `json:"etag"`
 	PublishedAt time.Time `json:"published_at"`
 	TrainSize   int       `json:"train_size"`
+	OOBError    float64   `json:"oob_error"`
+}
+
+// Quality record states.
+const (
+	QualityPending = "pending"
+	QualityDone    = "done"
+	QualityFailed  = "failed"
+)
+
+// QualityRecord is the §5.4 cross-validation of one published version.
+// The version serves while it is pending; once done it carries the
+// version's metrics with the cross-validated fields and folds × runs
+// filled in, and the seconds from TrackQuality to the report.
+type QualityRecord struct {
+	Version int                `json:"version"`
+	State   string             `json:"state"`
+	Metrics *core.ModelMetrics `json:"metrics,omitempty"` // nil until done
+	Seconds float64            `json:"seconds,omitempty"`
+	Error   string             `json:"error,omitempty"`
 }
 
 // ErrNoHistory reports a rollback with no earlier version to return to.
@@ -53,6 +74,7 @@ type Registry struct {
 	maxHistory int
 	now        func() time.Time
 	publishes  atomic.Int64 // lifetime hot-swaps, including rollbacks
+	quality    atomic.Pointer[QualityRecord]
 }
 
 // RegistryOption configures a Registry.
@@ -207,7 +229,32 @@ func (r *Registry) History() []SnapshotInfo {
 			ETag:        s.ETag,
 			PublishedAt: s.PublishedAt,
 			TrainSize:   s.Model.Metrics.TrainSize,
+			OOBError:    s.Model.Metrics.OOBError,
 		}
 	}
 	return out
+}
+
+// TrackQuality implements QualitySink. The record of the latest tracked
+// version is kept: a run that lands after a later version was tracked
+// is dropped.
+func (r *Registry) TrackQuality(version int, cv CrossValidation) {
+	pending := &QualityRecord{Version: version, State: QualityPending}
+	r.quality.Store(pending)
+	start := r.now()
+	go func() {
+		m, err := cv.Wait(context.Background())
+		rec := &QualityRecord{Version: version, State: QualityDone, Metrics: &m,
+			Seconds: r.now().Sub(start).Seconds()}
+		if err != nil {
+			rec.State, rec.Metrics, rec.Error = QualityFailed, nil, err.Error()
+		}
+		r.quality.CompareAndSwap(pending, rec)
+	}()
+}
+
+// Quality returns the latest tracked version's quality record, or nil
+// before the first TrackQuality.
+func (r *Registry) Quality() *QualityRecord {
+	return r.quality.Load()
 }

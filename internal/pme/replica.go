@@ -202,6 +202,12 @@ func (r *Replica) countRetry() { r.retries.Add(1) }
 // Current implements ModelSource (a single atomic pointer load).
 func (r *Replica) Current() *Snapshot { return r.reg.Current() }
 
+// TrackQuality implements QualitySink on the local registry: the
+// record stays with the replica that trained the version.
+func (r *Replica) TrackQuality(version int, cv CrossValidation) {
+	r.reg.TrackQuality(version, cv)
+}
+
 // Publish implements ModelSource: allocate a fleet-unique version from
 // the store, write the record (fenced while a lease session is active),
 // then adopt locally. ErrStalePublish and ErrLeaseLost surface to the

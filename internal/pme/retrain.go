@@ -220,9 +220,12 @@ func (r *Retrainer) train(ctx context.Context, base *Snapshot, trainable []Contr
 	next.Forest = forest
 	next.Tree = forest.RepresentativeTree(X)
 	next.Metrics = core.ModelMetrics{
+		OOBError:  forest.OOBError(),
 		Classes:   binner.Classes(),
 		TrainSize: len(X),
 	}
+	next.CV = nil // the base's cross-validation grades the base
+
 	return r.src.Publish(next)
 }
 

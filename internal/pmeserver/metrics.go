@@ -8,6 +8,7 @@ import (
 
 	"yourandvalue/internal/hist"
 	"yourandvalue/internal/obs"
+	"yourandvalue/internal/pme"
 )
 
 // endpointMetrics is one route's live counters and latency histogram.
@@ -131,11 +132,15 @@ func (m *Metrics) snapshot() map[string]EndpointStats {
 	return out
 }
 
-// ModelStats is the serving-model summary /v2/stats reports.
+// ModelStats is the serving-model summary /v2/stats reports: identity,
+// age and out-of-bag error of the serving version, and the latest
+// quality record (the §5.4 cross-validation, pending or done).
 type ModelStats struct {
-	Version        int     `json:"version"`
-	ETag           string  `json:"etag"`
-	ETagAgeSeconds float64 `json:"etag_age_seconds"`
+	Version        int                `json:"version"`
+	ETag           string             `json:"etag"`
+	ETagAgeSeconds float64            `json:"etag_age_seconds"`
+	OOBError       float64            `json:"oob_error"`
+	Quality        *pme.QualityRecord `json:"quality,omitempty"`
 }
 
 // StatsResponse is the /v2/stats body: process uptime, the serving
@@ -168,6 +173,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				Version:        snap.Version,
 				ETag:           snap.ETag,
 				ETagAgeSeconds: time.Since(snap.PublishedAt).Seconds(),
+				OOBError:       snap.Model.Metrics.OOBError,
+				Quality:        s.registry.Quality(),
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package pmeserver
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"yourandvalue/internal/core"
 	"yourandvalue/internal/obs"
 	"yourandvalue/internal/pme"
 )
@@ -206,5 +208,104 @@ func TestReadyzFlip(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-publish /readyz: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// gatedCV is a cross-validation that lands when the test sends its
+// metrics.
+type gatedCV chan core.ModelMetrics
+
+func (g gatedCV) Wait(ctx context.Context) (core.ModelMetrics, error) {
+	select {
+	case m := <-g:
+		return m, nil
+	case <-ctx.Done():
+		return core.ModelMetrics{}, ctx.Err()
+	}
+}
+
+// TestStatsQualityRecord: a published version serves while its §5.4
+// cross-validation is pending; /v2/stats then shows model.quality going
+// from pending to done, and the quality gauges follow.
+func TestStatsQualityRecord(t *testing.T) {
+	reg := pme.NewRegistry()
+	snap, err := reg.Publish(testModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(nil, WithRegistry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	stats := func() StatsResponse {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v2/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out StatsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Model == nil {
+			t.Fatal("/v2/stats without a model")
+		}
+		return out
+	}
+	gauge := func(name string) float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		fams, err := obs.ParseText(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fam, ok := obs.FindFamily(fams, name)
+		if !ok {
+			t.Fatalf("%s missing", name)
+		}
+		v, _ := fam.Sample(nil)
+		return v
+	}
+
+	if st := stats(); st.Model.Quality != nil || st.Model.OOBError != snap.Model.Metrics.OOBError {
+		t.Fatalf("before tracking: quality %+v, oob %v", st.Model.Quality, st.Model.OOBError)
+	}
+	if oob := gauge("pme_model_oob_error"); oob != snap.Model.Metrics.OOBError || oob <= 0 {
+		t.Fatalf("pme_model_oob_error = %v, want %v", oob, snap.Model.Metrics.OOBError)
+	}
+
+	cv := make(gatedCV)
+	reg.TrackQuality(snap.Version, cv)
+	if q := stats().Model.Quality; q == nil || q.Version != snap.Version || q.State != pme.QualityPending || q.Metrics != nil {
+		t.Fatalf("pending record %+v", q)
+	}
+	if v := gauge("pme_model_cv_accuracy"); v != 0 {
+		t.Fatalf("pme_model_cv_accuracy = %v while pending", v)
+	}
+
+	want := snap.Model.Metrics
+	want.Accuracy, want.FPRate, want.Precision, want.Recall, want.AUCROC = 0.61, 0.12, 0.6, 0.61, 0.83
+	want.CVFolds, want.CVRuns = 10, 1
+	cv <- want
+	deadline := time.Now().Add(10 * time.Second)
+	var q *pme.QualityRecord
+	for q = stats().Model.Quality; q.State == pme.QualityPending && time.Now().Before(deadline); q = stats().Model.Quality {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if q.State != pme.QualityDone || q.Version != snap.Version || q.Metrics == nil || *q.Metrics != want || q.Seconds < 0 {
+		t.Fatalf("done record %+v, want metrics %+v", q, want)
+	}
+	if v := gauge("pme_model_cv_accuracy"); v != want.Accuracy {
+		t.Fatalf("pme_model_cv_accuracy = %v, want %v", v, want.Accuracy)
+	}
+	if v := gauge("pme_model_cv_auc"); v != want.AUCROC {
+		t.Fatalf("pme_model_cv_auc = %v, want %v", v, want.AUCROC)
 	}
 }

@@ -135,8 +135,8 @@ func WithObservability(r *obs.Registry) Option {
 // generation (GenerateTrace's parallel per-user driver, whose reorder
 // window holds ~2×n user traces), analysis (Analyze folds n user
 // shards, each with its own detection engine), model training
-// (TrainModel builds each forest's trees — the cross-validation folds'
-// and the final one's — on n goroutines, one fold after another) and
+// (TrainModel grows the served forest's trees, then the
+// cross-validation folds, on n goroutines) and
 // per-user cost estimation (batch and streaming). The default is
 // GOMAXPROCS. Stage outputs are bit-identical at any worker count.
 func WithWorkers(n int) Option {
@@ -337,25 +337,29 @@ func (p *Pipeline) RunCampaigns(ctx context.Context, tr *TraceArtifact) (*Campai
 
 // TrainModel runs stage 4: fit the PME's encrypted-price model on the A1
 // ground truth (§5.4), with the analysis supplying the 2015 cleartext
-// reference for the time-shift coefficient.
+// reference for the time-shift coefficient. It publishes and returns as
+// soon as the served forest exists; the model's §5.4 cross-validation
+// (its CV) keeps running on the pipeline's workers. A publisher that is
+// a pme.QualitySink gets the run as the published version's quality
+// record.
 func (p *Pipeline) TrainModel(ctx context.Context, res *analyzer.Result, camps *CampaignArtifact) (*core.Model, error) {
 	if res == nil || camps == nil || camps.A1 == nil || camps.A2 == nil {
 		return nil, fmt.Errorf("yourandvalue: TrainModel needs analysis and campaign artifacts")
 	}
 	var model *core.Model
 	err := p.runStage(ctx, StageTrainModel, func() error {
-		pme := core.NewPME(p.cfg.Seed + 4)
-		pme.Workers = p.workers
+		eng := core.NewPME(p.cfg.Seed + 4)
+		eng.Workers = p.workers
 		if p.cfg.ForestSize > 0 {
-			pme.ForestSize = p.cfg.ForestSize
+			eng.ForestSize = p.cfg.ForestSize
 		}
 		if p.cfg.CVFolds > 0 {
-			pme.CVFolds = p.cfg.CVFolds
+			eng.CVFolds = p.cfg.CVFolds
 		}
 		if p.cfg.CVRuns > 0 {
-			pme.CVRuns = p.cfg.CVRuns
+			eng.CVRuns = p.cfg.CVRuns
 		}
-		m, err := pme.Train(camps.A1.Records, core.TrainConfig{
+		m, err := eng.Train(camps.A1.Records, core.TrainConfig{
 			CleartextReference2015: res.CleartextPrices(func(i analyzer.Impression) bool {
 				return i.Notification.ADX == campaign.CleartextADX
 			}),
@@ -368,6 +372,9 @@ func (p *Pipeline) TrainModel(ctx context.Context, res *analyzer.Result, camps *
 			snap, err := p.publisher.Publish(m)
 			if err != nil {
 				return fmt.Errorf("publishing model: %w", err)
+			}
+			if sink, ok := p.publisher.(pme.QualitySink); ok {
+				sink.TrackQuality(snap.Version, m.CV)
 			}
 			m = snap.Model
 		}
@@ -426,7 +433,9 @@ func (p *Pipeline) EstimateCostsStreaming(ctx context.Context, src stream.Source
 }
 
 // executeModel runs stages 1–4 (trace, then analysis ∥ campaigns, then
-// training) — the shared prefix of Execute and ExecuteStreaming.
+// training) — the shared prefix of Execute and ExecuteStreaming. The
+// model it returns carries its §5.4 cross-validated metrics: it waits
+// for the CV and returns a clone with them filled in.
 func (p *Pipeline) executeModel(ctx context.Context) (*TraceArtifact, *analyzer.Result, *CampaignArtifact, *core.Model, error) {
 	tr, err := p.GenerateTrace(ctx)
 	if err != nil {
@@ -462,6 +471,12 @@ func (p *Pipeline) executeModel(ctx context.Context) (*TraceArtifact, *analyzer.
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("yourandvalue: %w", err)
 	}
+	metrics, err := model.CV.Wait(ctx)
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("yourandvalue: cross-validation: %w", err)
+	}
+	model = model.CloneWithVersion(model.Version, model.TrainedAt)
+	model.Metrics = metrics
 	return tr, res, camps, model, nil
 }
 

@@ -1,13 +1,20 @@
 package yourandvalue
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"yourandvalue/internal/core"
+	"yourandvalue/internal/mlkit"
+	"yourandvalue/internal/pme"
 )
 
 // tinyOptions is the smallest configuration the pipeline tests share.
@@ -325,5 +332,137 @@ func TestBatchEstimateShardingDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, s.Costs) {
 		t.Fatal("study costs differ from direct BatchEstimate")
+	}
+}
+
+// The tiny pipeline's served forest and §5.4 table, pinned from the
+// pipeline that cross-validated before it published: publishing on the
+// served forest must change neither.
+const (
+	tinyForestSHA256    = "9ddc7f33b543341ccd3c4b969cfcb29c693c4c582f31cbccdf187cc8cc3df583"
+	tinySection54SHA256 = "6996d7851e1a1051ec51be1523c8d319173575d8cf1df12f36245a40f16d657e"
+)
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestTrainModelReadyFirst pins the ready-first TrainModel at worker
+// counts {1, 2, 7}: the forest it publishes is TrainForest's with the
+// same configuration (flat form byte for byte, importance and OOB error
+// bit for bit, and the pinned forest), and the quality record that
+// lands in the registry afterwards carries CrossValidateForest's report
+// bit for bit.
+func TestTrainModelReadyFirst(t *testing.T) {
+	ctx := context.Background()
+	for _, workers := range []int{1, 2, 7} {
+		reg := pme.NewRegistry()
+		p, err := NewPipeline(append(tinyOptions(), WithWorkers(workers), WithModelRegistry(reg))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := p.GenerateTrace(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Analyze(ctx, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		camps, err := p.RunCampaigns(ctx, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := p.TrainModel(ctx, res, camps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sha256Hex(m.FlatForest().AppendBinary(nil)); got != tinyForestSHA256 {
+			t.Fatalf("workers=%d: served forest sha256 %s, want %s", workers, got, tinyForestSHA256)
+		}
+
+		// The same rows and labels core.Train builds, and its forest
+		// configuration.
+		records := camps.A1.Records
+		X := make([][]float64, len(records))
+		prices := make([]float64, len(records))
+		for i, r := range records {
+			X[i], prices[i] = m.Features.FromRecord(r), r.ChargeCPM
+		}
+		y := m.Binner.Labels(prices)
+		cfg := mlkit.ForestConfig{Trees: 8, Seed: 7 + 4, MaxDepth: 24, MinLeaf: 1, Workers: workers}
+		ref, err := mlkit.TrainForest(X, y, m.Binner.Classes(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(m.FlatForest().AppendBinary(nil), ref.Flat().AppendBinary(nil)) {
+			t.Fatalf("workers=%d: served forest differs from TrainForest's", workers)
+		}
+		sameFloatBits(t, "importance", m.Forest.Importance(), ref.Importance())
+		sameFloatBits(t, "OOB error", []float64{m.Metrics.OOBError}, []float64{ref.OOBError()})
+
+		want, err := mlkit.CrossValidateForest(X, y, m.Binner.Classes(), 3, 1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := awaitQuality(t, reg, m.Version).Metrics
+		sameFloatBits(t, "quality record",
+			[]float64{q.Accuracy, q.FPRate, q.Precision, q.Recall, q.AUCROC},
+			[]float64{want.Accuracy, want.FPRate, want.Precision, want.Recall, want.AUCROC})
+		if q.CVFolds != 3 || q.CVRuns != 1 || q.TrainSize != len(records) {
+			t.Fatalf("workers=%d: quality record %+v", workers, q)
+		}
+	}
+}
+
+// awaitQuality polls reg until version's quality record is done.
+func awaitQuality(t *testing.T, reg *pme.Registry, version int) *pme.QualityRecord {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		q := reg.Quality()
+		if q == nil || q.Version != version {
+			t.Fatalf("quality record %+v, want version %d", q, version)
+		}
+		if q.State == pme.QualityDone {
+			return q
+		}
+		if q.State != pme.QualityPending || time.Now().After(deadline) {
+			t.Fatalf("quality record %+v", q)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+func sameFloatBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestExecuteSection54Unchanged: Execute waits for the cross-validation,
+// so its §5.4 table prints byte for byte what it printed when the
+// cross-validation ran before publish, at any worker count.
+func TestExecuteSection54Unchanged(t *testing.T) {
+	for _, workers := range []int{1, 2, 7} {
+		p, err := NewPipeline(append(tinyOptions(), WithWorkers(workers))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := p.Execute(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab := s.Section54().String()
+		if got := sha256Hex([]byte(tab)); got != tinySection54SHA256 {
+			t.Fatalf("workers=%d: §5.4 table changed (sha256 %s):\n%s", workers, got, tab)
+		}
 	}
 }
