@@ -427,21 +427,14 @@ func BenchmarkDetectEngine(b *testing.B) {
 		b.ReportMetric(float64(len(reqs)), "requests/op")
 	})
 
-	// The estimate leg in isolation: same encoded vectors, three walks.
+	// The estimate leg in isolation: same encoded vectors, four walks.
 	// "pointer" is the pre-flat baseline (heap-scattered *Node chase per
-	// tree), "flat" the SoA walk EstimateCPM now routes through, and
-	// "flat-batch" the tree-major batch walk the server paths use.
+	// tree), "flat" the SoA walk EstimateCPM now routes through,
+	// "flat-batch" the tree-major batch walk the server paths use, and
+	// "flat-window8" that walk on 8-row windows, the shape of one
+	// estimate-small request.
 	b.Run("estimate", func(b *testing.B) {
-		eng := detect.NewEngine(detect.Config{Directory: dir})
-		var vecs [][]float64
-		for _, r := range reqs {
-			em := eng.Step(r.Detect())
-			if em.Detected && em.Impression.Encrypted() {
-				vec := make([]float64, model.Features.Dim())
-				model.Features.EncodeImpressionInto(vec, em.Impression)
-				vecs = append(vecs, vec)
-			}
-		}
+		vecs := encryptedVectors(s, len(reqs))
 		if len(vecs) == 0 {
 			b.Fatal("no encrypted impressions in the bench trace")
 		}
@@ -476,6 +469,18 @@ func BenchmarkDetectEngine(b *testing.B) {
 			}
 			_ = sink
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vecs)), "ns/vec")
+		})
+		b.Run("flat-window8", func(b *testing.B) {
+			const window = 8
+			cls := make([]int, window)
+			windows := len(vecs) / window
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := i % windows * window
+				flat.PredictInto(cls, vecs[w:w+window])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*window), "ns/vec")
 		})
 	})
 }

@@ -62,6 +62,7 @@ func main() {
 		pme.CVFolds, pme.CVRuns = 5, 1
 		model, err = pme.Train(a1.Records, core.TrainConfig{})
 		exitOn(err)
+		model.CV.Stop() // the cost report never reads the cross-validation
 	}
 
 	// The analyzer pass is only needed to pick a default subject.

@@ -260,6 +260,7 @@ func (s *Study) AblationModelFamily() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	model.CV.Stop() // the ablation reads only held-out errors
 	trainPrices := make([]float64, len(train))
 	trainX := make([][]float64, len(train))
 	for i, r := range train {

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"yourandvalue/internal/analyzer"
 	"yourandvalue/internal/campaign"
@@ -254,6 +256,30 @@ func TestTrainIdenticalAtAnyWorkerCount(t *testing.T) {
 	many := encode(max(2, runtime.GOMAXPROCS(0)))
 	if !bytes.Equal(one, many) {
 		t.Fatalf("model bytes differ between 1 and %d workers", max(2, runtime.GOMAXPROCS(0)))
+	}
+}
+
+// TestValidationStop: Stop ends a cross-validation nobody will read at
+// the next fold boundary, and a Wait after it returns the cancellation
+// instead of hanging or reporting a partial protocol.
+func TestValidationStop(t *testing.T) {
+	f := pipeline(t)
+	pme := NewPME(19)
+	// Thirty folds on one worker: Stop lands long before the last one.
+	pme.ForestSize, pme.CVFolds, pme.CVRuns, pme.Workers = 8, 10, 3, 1
+	m, err := pme.Train(f.a1.Records, TrainConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.CV.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := m.CV.Wait(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait after Stop = %v, want context.Canceled", err)
+	}
+	// Stopping the folds leaves the served model whole.
+	if m.Forest == nil || m.Tree == nil || m.Metrics.OOBError <= 0 {
+		t.Fatalf("stopped model: forest %v, tree %v, OOB error %v", m.Forest != nil, m.Tree != nil, m.Metrics.OOBError)
 	}
 }
 

@@ -91,6 +91,12 @@ func (v *Validation) Wait(ctx context.Context) (ModelMetrics, error) {
 	return m, nil
 }
 
+// Stop ends the folds at the next fold boundary, for callers that
+// never read the report: its CPU then goes back to them. A Wait after
+// Stop returns the cancellation error unless every fold had already
+// been scored.
+func (v *Validation) Stop() { v.stop() }
+
 // CloneWithVersion returns a copy of m stamped with new version
 // metadata. The heavy components — features, binner, forest, tree — are
 // shared with the original: they are immutable after training, so the

@@ -64,6 +64,53 @@ func (ff *FlatForest) walk(i int32, x []float64) int32 {
 	}
 }
 
+// walk4 walks four rows down the tree at root in lockstep and returns
+// their classes. The four descents are independent chains of dependent
+// loads; interleaving them lets the CPU overlap their cache misses
+// (Asadi, Lin & de Vries, "Runtime Optimizations for Tree-Based Machine
+// Learning Models", IEEE TKDE 2014). A step sends a lane to kids[i] + 1
+// unless x[f] <= thrs[i], so NaN branches right as in walk. The lockstep
+// ends as soon as any lane stands on a leaf, and each lane then finishes
+// on walk from the node it reached: every row takes exactly the path
+// walk alone would take.
+func (ff *FlatForest) walk4(root int32, x0, x1, x2, x3 []float64) (int32, int32, int32, int32) {
+	feats, kids, thrs := ff.Feats, ff.Kids, ff.Thrs
+	i0, i1, i2, i3 := root, root, root, root
+	for {
+		f0, f1, f2, f3 := feats[i0], feats[i1], feats[i2], feats[i3]
+		if f0|f1|f2|f3 < 0 { // a leaf has a negative feature
+			break
+		}
+		i0 = kids[i0] + b2i(!(x0[f0] <= thrs[i0]))
+		i1 = kids[i1] + b2i(!(x1[f1] <= thrs[i1]))
+		i2 = kids[i2] + b2i(!(x2[f2] <= thrs[i2]))
+		i3 = kids[i3] + b2i(!(x3[f3] <= thrs[i3]))
+	}
+	return ff.walk(i0, x0), ff.walk(i1, x1), ff.walk(i2, x2), ff.walk(i3, x3)
+}
+
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// walkRows writes tree root's class for every row of X into
+// dst[:len(X)]: four rows at a time through walk4, the len(X) mod 4
+// rows left over through walk.
+func (ff *FlatForest) walkRows(dst []int32, root int32, X [][]float64) {
+	n := len(X)
+	dst = dst[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = ff.walk4(root, X[i], X[i+1], X[i+2], X[i+3])
+	}
+	for ; i < n; i++ {
+		dst[i] = ff.walk(root, X[i])
+	}
+}
+
 // Predict returns the majority-vote class for x (ties to the lower
 // class index). Allocation-free for the class counts real price models
 // use.
@@ -87,12 +134,6 @@ func (ff *FlatForest) Predict(x []float64) int {
 	return best
 }
 
-// PredictTree returns tree t's class for x — the single-tree walk the
-// out-of-bag pass and thin single-tree clients use.
-func (ff *FlatForest) PredictTree(t int, x []float64) int {
-	return int(ff.walk(ff.Roots[t], x))
-}
-
 // votesPool recycles the batch vote accumulator so warm PredictInto
 // calls allocate nothing regardless of batch size.
 var votesPool = sync.Pool{New: func() any { return new([]int32) }}
@@ -100,8 +141,10 @@ var votesPool = sync.Pool{New: func() any { return new([]int32) }}
 // PredictInto classifies every row of X into dst[:len(X)]. Traversal is
 // tree-major: each tree walks the whole vector set before the next tree
 // starts, so one tree's nodes stay cache-hot across the entire batch
-// instead of the whole forest being re-fetched per vector. dst must
-// have length >= len(X). Zero allocations on the warm path.
+// instead of the whole forest being re-fetched per vector. Rows go down
+// each tree four at a time (walk4), the len(X) mod 4 left over one at a
+// time (walk). dst must have length >= len(X). Zero allocations on the
+// warm path.
 func (ff *FlatForest) PredictInto(dst []int, X [][]float64) {
 	n := len(X)
 	if n == 0 {
@@ -118,8 +161,19 @@ func (ff *FlatForest) PredictInto(dst []int, X [][]float64) {
 		clear(votes)
 	}
 	for _, root := range ff.Roots {
-		for vi, x := range X {
-			votes[vi*classes+int(ff.walk(root, x))]++
+		// walkRows's loop, voting straight from walk4's classes rather
+		// than through a class row.
+		vi := 0
+		for ; vi+4 <= n; vi += 4 {
+			c0, c1, c2, c3 := ff.walk4(root, X[vi], X[vi+1], X[vi+2], X[vi+3])
+			row := votes[vi*classes : (vi+4)*classes]
+			row[c0]++
+			row[classes+int(c1)]++
+			row[2*classes+int(c2)]++
+			row[3*classes+int(c3)]++
+		}
+		for ; vi < n; vi++ {
+			votes[vi*classes+int(ff.walk(root, X[vi]))]++
 		}
 	}
 	for vi := 0; vi < n; vi++ {

@@ -68,7 +68,7 @@ func TestFlatForestEquivalence(t *testing.T) {
 			t.Fatalf("vec %d: flat Predict = %d, pointer = %d", vi, got, want)
 		}
 		for ti, tr := range f.Trees {
-			if got, want := ff.PredictTree(ti, x), tr.Predict(x); got != want {
+			if got, want := int(ff.walk(ff.Roots[ti], x)), tr.Predict(x); got != want {
 				t.Fatalf("vec %d tree %d: flat = %d, pointer = %d", vi, ti, got, want)
 			}
 		}
@@ -92,11 +92,14 @@ func TestFlatForestProbaEquivalence(t *testing.T) {
 	}
 }
 
+// TestFlatForestBatchMatchesSingle covers every lockstep tail (n mod 4)
+// below and around the 256-row chunk the estimate paths use, and a
+// batch larger than one chunk.
 func TestFlatForestBatchMatchesSingle(t *testing.T) {
 	X, y := noisyData(400, 41)
 	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 12, Seed: 42})
 	ff := f.Flat()
-	for _, n := range []int{0, 1, 7, 256, 391} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, 391, 4095, 4096} {
 		vecs := fuzzVectors(f, 10, n, int64(50+n))
 		dst := make([]int, n)
 		ff.PredictInto(dst, vecs)
@@ -106,6 +109,138 @@ func TestFlatForestBatchMatchesSingle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// chainTree builds a tree that is one right-leaning chain of depth
+// splits on x[k%dim] <= 0.5, each with a leaf of class k%3 on its left.
+// A row of zeros stops at depth 1; a row of ones, NaNs or +Infs runs the
+// whole chain.
+func chainTree(depth, dim int) *Tree {
+	end := &Node{Leaf: true, Counts: []int{1, 0, 2}}
+	next := end
+	for k := depth - 1; k >= 0; k-- {
+		counts := make([]int, 3)
+		counts[k%3] = 1
+		next = &Node{
+			Feature: k % dim, Threshold: 0.5,
+			Left:  &Node{Leaf: true, Counts: counts},
+			Right: next,
+		}
+	}
+	return &Tree{Classes: 3, Root: next}
+}
+
+// lanes returns every 4-row group over kinds, concatenated, so each
+// kind sits at each lane position of a lockstep group beside every
+// combination of the others.
+func lanes(kinds [][]float64) [][]float64 {
+	var rows [][]float64
+	k := len(kinds)
+	for g := 0; g < k*k*k*k; g++ {
+		for lane, c := 0, g; lane < 4; lane, c = lane+1, c/k {
+			rows = append(rows, kinds[c%k])
+		}
+	}
+	return rows
+}
+
+// TestFlatLockstepLanes puts NaN, ±Inf and exact-threshold rows at each
+// lane position of walk4's groups, beside lanes that reach a leaf first
+// while the others are still deep, and checks PredictInto against the
+// pointer walk row by row. Prefix rows shift the groups by 0–3, which
+// also leaves 0–3 rows at the end for the scalar tail.
+func TestFlatLockstepLanes(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	check := func(name string, ff *FlatForest, want func([]float64) int, rows [][]float64) {
+		t.Helper()
+		for shift := 0; shift < 4; shift++ {
+			X := append(append([][]float64(nil), rows[:shift]...), rows...)
+			dst := make([]int, len(X))
+			ff.PredictInto(dst, X)
+			for i, x := range X {
+				if w := want(x); dst[i] != w {
+					t.Fatalf("%s shift %d row %d %v: batch %d, pointer %d", name, shift, i, x, dst[i], w)
+				}
+			}
+		}
+	}
+
+	chain := chainTree(12, 3)
+	check("chain", chain.Flat(), chain.Predict, lanes([][]float64{
+		{0, 0, 0},       // leaf at depth 1
+		{1, 1, 1},       // the whole chain
+		{nan, nan, nan}, // NaN branches right: the whole chain
+		{inf, inf, inf}, // the whole chain
+		{1, -inf, 1},    // -Inf goes left at depth 2
+		{1, 1, 0.5},     // exactly on the threshold: left at depth 3
+		{1, nan, -inf},  // right, right, then left at depth 3
+	}))
+
+	X, y := noisyData(400, 43)
+	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 9, MaxDepth: 24, MinLeaf: 1, Seed: 44})
+	// Each tree's root split, exactly on its threshold.
+	onThr := make([]float64, 10)
+	for _, tr := range f.Trees {
+		onThr[tr.Root.Feature] = tr.Root.Threshold
+	}
+	kinds := [][]float64{X[0], X[1], onThr, make([]float64, 10), make([]float64, 10), make([]float64, 10)}
+	for j := range 10 {
+		kinds[3][j], kinds[4][j], kinds[5][j] = nan, inf, -inf
+	}
+	check("forest", f.Flat(), f.Predict, lanes(kinds))
+}
+
+// FuzzFlatPredictInto checks the lockstep batch walk against the
+// single-row walk on rows decoded from the fuzz input, ten bytes a row.
+// A byte maps to NaN, ±Inf, one of the forest's own split thresholds or
+// a value in [0, 2), so rows land on split boundaries and in every
+// branch.
+func FuzzFlatPredictInto(f *testing.F) {
+	X, y := noisyData(300, 111)
+	forest, err := TrainForest(X, y, 3, ForestConfig{Trees: 8, MaxDepth: 24, MinLeaf: 1, Seed: 112})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ff := forest.Flat()
+	var thrs []float64
+	for i, ft := range ff.Feats {
+		if ft >= 0 {
+			thrs = append(thrs, ff.Thrs[i])
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte("0123456789"))
+	f.Add([]byte("\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09abcdefghijklmnopqrstuvwxyz\x80\xff\x90\xa0"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const dim = 10
+		n := min(len(data)/dim, 1024)
+		rows := make([][]float64, n)
+		for i := range rows {
+			row := make([]float64, dim)
+			for j, b := range data[i*dim : (i+1)*dim] {
+				switch {
+				case b == 0:
+					row[j] = math.NaN()
+				case b == 1:
+					row[j] = math.Inf(1)
+				case b == 2:
+					row[j] = math.Inf(-1)
+				case b < 128:
+					row[j] = thrs[int(b)%len(thrs)]
+				default:
+					row[j] = float64(b-128) / 64
+				}
+			}
+			rows[i] = row
+		}
+		dst := make([]int, n)
+		ff.PredictInto(dst, rows)
+		for i, x := range rows {
+			if want := ff.Predict(x); dst[i] != want {
+				t.Fatalf("row %d of %d %v: PredictInto %d, Predict %d", i, n, x, dst[i], want)
+			}
+		}
+	})
 }
 
 func TestFlatTreeEquivalence(t *testing.T) {
@@ -279,5 +414,19 @@ func BenchmarkForestPredict(b *testing.B) {
 		}
 		// Normalize to per-vector cost for cross-sub comparison.
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vecs)), "ns/vec")
+	})
+	// The batch walk on 8-row windows, the size of a small estimate
+	// request: two lockstep groups and no tail.
+	b.Run("flat-window8", func(b *testing.B) {
+		const window = 8
+		b.ReportAllocs()
+		dst := make([]int, window)
+		windows := len(vecs) / window
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w := i % windows * window
+			ff.PredictInto(dst, vecs[w:w+window])
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*window), "ns/vec")
 	})
 }

@@ -166,15 +166,25 @@ func (j *forestJob) finish(X [][]float64) {
 
 	// Out-of-bag votes, walked through the flat form — compiling here
 	// means every trained forest leaves training with its inference
-	// engine already built and cached.
+	// engine already built and cached. Each tree walks its out-of-bag
+	// rows four at a time.
 	flat := f.Flat()
 	oobVotes := make([]int, n*classes)
-	for t := range f.Trees {
+	oobIdx := make([]int, 0, n)
+	oobRows := make([][]float64, 0, n)
+	cls := make([]int32, n)
+	for t, root := range flat.Roots {
 		w := j.weights[t*n : (t+1)*n]
+		oobIdx, oobRows = oobIdx[:0], oobRows[:0]
 		for i := 0; i < n; i++ {
 			if w[i] == 0 {
-				oobVotes[i*classes+flat.PredictTree(t, X[i])]++
+				oobIdx = append(oobIdx, i)
+				oobRows = append(oobRows, X[i])
 			}
+		}
+		flat.walkRows(cls, root, oobRows)
+		for k, i := range oobIdx {
+			oobVotes[i*classes+int(cls[k])]++
 		}
 	}
 
@@ -294,23 +304,43 @@ func topIndices(scores []float64, k int) []int {
 // RepresentativeTree returns the single ensemble member whose training
 // behaviour best matches the forest (highest agreement with forest votes
 // on the provided sample; ties go to the earlier tree) — the portable
-// decision tree the PME distributes to clients. Both the forest votes
-// and the per-tree scoring walk the flat form, tree-major.
+// decision tree the PME distributes to clients. Each tree walks the
+// sample once, four rows at a time, on the flat form; the forest vote
+// (ties to the lower class, as in FlatForest.PredictInto) and every
+// tree's agreement with it are read from those classes.
 func (f *Forest) RepresentativeTree(X [][]float64) *Tree {
 	if len(f.Trees) == 0 {
 		return nil
 	}
-	if len(X) == 0 {
+	n := len(X)
+	if n == 0 {
 		return f.Trees[0]
 	}
 	flat := f.Flat()
-	forestPred := make([]int, len(X))
-	flat.PredictInto(forestPred, X)
+	cls := make([]int32, len(flat.Roots)*n) // tree t's classes are cls[t*n : (t+1)*n]
+	for t, root := range flat.Roots {
+		flat.walkRows(cls[t*n:(t+1)*n], root, X)
+	}
+	forestPred := make([]int32, n)
+	votes := make([]int32, f.Classes)
+	for i := range forestPred {
+		clear(votes)
+		for t := range flat.Roots {
+			votes[cls[t*n+i]]++
+		}
+		best, bestN := 0, int32(-1)
+		for c, v := range votes {
+			if v > bestN {
+				best, bestN = c, v
+			}
+		}
+		forestPred[i] = int32(best)
+	}
 	best, bestAgree := 0, -1
 	for t := range f.Trees {
 		agree := 0
-		for i, x := range X {
-			if flat.PredictTree(t, x) == forestPred[i] {
+		for i, c := range cls[t*n : (t+1)*n] {
+			if c == forestPred[i] {
 				agree++
 			}
 		}

@@ -261,3 +261,18 @@ func BenchmarkTrainForest(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRepresentativeTree picks the representative tree of
+// BenchmarkTrainForest's bootstrap-shaped forest over its 8,640
+// training rows, as the PME's ready callback does after every training.
+func BenchmarkRepresentativeTree(b *testing.B) {
+	X, y := sShapedData(8640, 31)
+	f, err := TrainForest(X, y, 4, ForestConfig{Trees: 40, MaxDepth: 24, MinLeaf: 1, Seed: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		f.RepresentativeTree(X)
+	}
+}

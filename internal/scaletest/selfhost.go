@@ -89,7 +89,14 @@ func trainSeedModel(seed int64) (*core.Model, error) {
 	eng := core.NewPME(seed + 3)
 	eng.ForestSize = 10
 	eng.CVFolds, eng.CVRuns = 5, 1
-	return eng.Train(rep.Records, core.TrainConfig{})
+	model, err := eng.Train(rep.Records, core.TrainConfig{})
+	if err != nil {
+		return nil, err
+	}
+	// Nothing reads the seed model's cross-validation, and its folds
+	// would compete with the load being measured.
+	model.CV.Stop()
+	return model, nil
 }
 
 // StartModelChurn republishes the server's current model every interval

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"yourandvalue/internal/detect"
 )
 
 // The study fixture is shared: Run at quick scale once.
@@ -420,6 +422,59 @@ func TestFigure19PerImpression(t *testing.T) {
 	me := parseCPM(t, tab.Rows[1][1])
 	if me <= mc {
 		t.Errorf("encrypted per-impression median %.3f should exceed cleartext %.3f", me, mc)
+	}
+}
+
+// encryptedVectors encodes the S vector of every encrypted impression
+// detected in the first maxRequests requests of s's trace, for the
+// study's model.
+func encryptedVectors(s *Study, maxRequests int) [][]float64 {
+	reqs := s.Trace.Requests
+	if len(reqs) > maxRequests {
+		reqs = reqs[:maxRequests]
+	}
+	eng := detect.NewEngine(detect.Config{Directory: s.Trace.Catalog.Directory()})
+	var vecs [][]float64
+	for _, r := range reqs {
+		em := eng.Step(r.Detect())
+		if em.Detected && em.Impression.Encrypted() {
+			vec := make([]float64, s.Model.Features.Dim())
+			s.Model.Features.EncodeImpressionInto(vec, em.Impression)
+			vecs = append(vecs, vec)
+		}
+	}
+	return vecs
+}
+
+// TestFlatBatchOnStudyModel checks the lockstep batch walk against the
+// single-row walk on the study model's real encrypted-impression
+// vectors: on every 8-row window (the size of a small estimate request)
+// and on the whole set at once.
+func TestFlatBatchOnStudyModel(t *testing.T) {
+	s := quickStudy(t)
+	vecs := encryptedVectors(s, 30000)
+	if len(vecs) < 8 {
+		t.Fatalf("%d encrypted vectors, want at least 8", len(vecs))
+	}
+	flat := s.Model.FlatForest()
+	want := make([]int, len(vecs))
+	for i, x := range vecs {
+		want[i] = flat.Predict(x)
+	}
+	got := make([]int, len(vecs))
+	flat.PredictInto(got, vecs)
+	for i := range vecs {
+		if got[i] != want[i] {
+			t.Fatalf("whole set, row %d of %d: PredictInto %d, Predict %d", i, len(vecs), got[i], want[i])
+		}
+	}
+	for w := 0; w+8 <= len(vecs); w++ {
+		flat.PredictInto(got[:8], vecs[w:w+8])
+		for i, c := range got[:8] {
+			if c != want[w+i] {
+				t.Fatalf("window at %d, row %d: PredictInto %d, Predict %d", w, i, c, want[w+i])
+			}
+		}
 	}
 }
 
