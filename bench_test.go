@@ -8,7 +8,6 @@ package yourandvalue
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"yourandvalue/internal/analyzer"
@@ -17,10 +16,10 @@ import (
 	"yourandvalue/internal/core"
 	"yourandvalue/internal/detect"
 	"yourandvalue/internal/geoip"
+	"yourandvalue/internal/mlkit"
 	"yourandvalue/internal/nurl"
 	"yourandvalue/internal/priceenc"
 	"yourandvalue/internal/rtb"
-	"yourandvalue/internal/stream"
 	"yourandvalue/internal/trafficclass"
 	"yourandvalue/internal/useragent"
 	"yourandvalue/internal/weblog"
@@ -301,58 +300,21 @@ func BenchmarkStudyPipelineStaged(b *testing.B) {
 	}
 }
 
-// --- Streaming vs batch estimation ---
-
-// BenchmarkStreamVsBatch compares per-user cost estimation throughput
-// between the batch path (core.BatchEstimateContext over a pre-analyzed
-// trace) and the streaming path (stream.Aggregator re-detecting and
-// estimating online). Run with -benchmem: the streaming sub-benchmarks
-// also show peak working-set behavior — "generate" never materializes
-// the trace at all.
-func BenchmarkStreamVsBatch(b *testing.B) {
-	s := quickStudy(b)
-	ctx := context.Background()
-	workers := runtime.GOMAXPROCS(0)
-
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.BatchEstimateContext(ctx, s.Analysis, s.Model, workers); err != nil {
-				b.Fatal(err)
-			}
+// pointerVote is the pre-flat forest walk BenchmarkDetectEngine keeps as
+// its baseline: every tree's *Node chase, then the majority vote (ties
+// to the lower class) in a caller-owned tally.
+func pointerVote(f *mlkit.Forest, votes []int, x []float64) int {
+	clear(votes)
+	for _, t := range f.Trees {
+		votes[t.Predict(x)]++
+	}
+	best := 0
+	for c, v := range votes {
+		if v > votes[best] {
+			best = c
 		}
-		b.ReportMetric(float64(len(s.Analysis.Impressions)), "impressions/op")
-	})
-
-	b.Run("stream-replay", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			src, err := stream.NewReplaySource(s.Trace)
-			if err != nil {
-				b.Fatal(err)
-			}
-			agg := stream.NewAggregator(s.Model, s.Trace.Catalog.Directory(),
-				stream.WithShards(workers))
-			if _, err := agg.Run(ctx, src); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(s.Trace.Requests)), "events/op")
-	})
-
-	b.Run("stream-generate", func(b *testing.B) {
-		wcfg := weblog.DefaultConfig().Scaled(s.Config.Scale)
-		wcfg.Seed = s.Config.Seed
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			src := stream.NewGeneratorSource(wcfg)
-			agg := stream.NewAggregator(s.Model, src.Directory(),
-				stream.WithShards(workers))
-			if _, err := agg.Run(ctx, src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
+	return best
 }
 
 // --- Shared detection engine vs the pre-refactor string path ---
@@ -444,8 +406,9 @@ func BenchmarkDetectEngine(b *testing.B) {
 
 		b.Run("pointer", func(b *testing.B) {
 			b.ReportAllocs()
+			votes := make([]int, forest.Classes)
 			for i := 0; i < b.N; i++ {
-				sink += binner.Representative(forest.Predict(vecs[i%len(vecs)]))
+				sink += binner.Representative(pointerVote(forest, votes, vecs[i%len(vecs)]))
 			}
 			_ = sink
 		})

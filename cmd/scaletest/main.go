@@ -61,7 +61,7 @@ func main() {
 	stepDur := flag.Duration("step-duration", 5*time.Second, "wall-clock cap per ramp step")
 	stepOps := flag.Int64("step-maxops", 0, "op budget per ramp step (0 = until step duration)")
 	maxOps := flag.Int64("maxops", 0, "total op budget for fixed runs (0 = until duration)")
-	batch := flag.Int("batch", 32, "stream events per client operation cycle")
+	batch := flag.Int("batch", 32, "trace requests per client operation cycle")
 	scen := flag.String("scenario", "baseline",
 		"simulated world feeding the clients; one of: "+strings.Join(scenario.Names(), ", "))
 	scale := flag.Float64("scale", 0.05, "trace scale in (0,1] feeding the clients")

@@ -4,18 +4,12 @@
 //
 //	go run ./examples/quickstart
 //
-// The cost stage can also run as an online stream (bounded memory,
-// sharded aggregation, identical per-user costs for the same seed):
-//
-//	study, err := pipe.ExecuteStreaming(context.Background())
-//	fmt.Println(study.Stream) // running totals + top-K users/advertisers
-//
-// And to hammer a live PME server with a synthetic client fleet —
-// ETag model polls, contribution batches, estimate queries — use the
+// To hammer a live PME server with a synthetic client fleet — ETag
+// model polls, contribution batches, estimate queries — use the
 // scaletest harness (add -addr to target a running server; without it
-// loadgen trains a small model and serves it in-process):
+// scaletest trains a small model and serves it in-process):
 //
-//	go run ./cmd/loadgen -clients 200 -duration 15s
+//	go run ./cmd/scaletest -strategy mixed -clients 200 -duration 15s
 package main
 
 import (

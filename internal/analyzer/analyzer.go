@@ -7,8 +7,7 @@
 // profiles from browsing history.
 //
 // The detection substeps (i)-(v) live in the shared internal/detect
-// engine — the same code path the online stream shards and the PME's
-// estimation surfaces run — and the analyzer is a fold over the
+// engine — the same code path the PME's estimation surfaces run — and the analyzer is a fold over the
 // engine's emissions into the paper's batch summaries, sharded by user.
 //
 // The analyzer sees only what a proxy would: requests. It never touches

@@ -27,8 +27,8 @@ import (
 //
 // The layout and every encode path are owned by the shared
 // detect.Encoder, so training (FromRecord), analysis (FromImpression),
-// live clients (FromNotification), stream shards, and the /v2/estimate
-// path (FromStrings) share the exact vector positions by construction.
+// live clients (FromNotification) and the /v2/estimate path
+// (FromStrings) share the exact vector positions by construction.
 type SFeatures struct {
 	Names   []string `json:"names"`
 	enc     *detect.Encoder
@@ -95,7 +95,7 @@ func (s *SFeatures) FromImpression(imp analyzer.Impression) []float64 {
 
 // EncodeImpressionInto encodes a detected impression into a caller-owned
 // buffer of length Dim — the zero-allocation hot path batch estimation
-// and stream shards reuse per worker.
+// reuses per worker.
 func (s *SFeatures) EncodeImpressionInto(dst []float64, imp analyzer.Impression) {
 	s.encoder().EncodeInto(dst, imp)
 }

@@ -1,11 +1,11 @@
 // Package detect is the shared detection/encoding engine behind every
 // consumer of the paper's hot loop: classify a request, parse its price
 // notification URL, attribute the publisher, and encode the §5.1 S
-// feature vector. The batch analyzer (internal/analyzer), the online
-// stream shards (internal/stream), and the PME's estimation surfaces
-// (internal/core, /v2/estimate in internal/pmeserver) all consume this
-// one engine, so the three historical copies of the loop cannot drift
-// apart — they are the same code path by construction.
+// feature vector. The batch analyzer (internal/analyzer) and the PME's
+// estimation surfaces (internal/core, /v2/estimate in
+// internal/pmeserver) both consume this one engine, so the historical
+// copies of the loop cannot drift apart — they are the same code path
+// by construction.
 //
 // The engine works over interned records: a SymbolTable maps the
 // high-cardinality strings of a weblog (hosts, user agents, client

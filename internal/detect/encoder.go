@@ -280,8 +280,7 @@ func (e *Encoder) EncodeSampleInto(dst []float64, s Sample) {
 
 // EncodeInto writes the S vector of a detected impression into dst
 // (len(dst) must equal Dim) without allocating — the per-impression
-// hot path shared by batch estimation, stream shards and EstimateCPM
-// callers.
+// hot path shared by batch estimation and EstimateCPM callers.
 func (e *Encoder) EncodeInto(dst []float64, imp Impression) {
 	n := imp.Notification
 	e.EncodeSampleInto(dst, Sample{

@@ -15,8 +15,7 @@ import (
 // TestEngineMatchesLegacyPath replays a generated trace through the
 // engine and through the historical inline path — uncached
 // classification, net/url-backed nURL parsing, per-request geocoding
-// and UA parsing, as the analyzer and the stream shards each used to
-// inline it — asserting identical results request by request.
+// and UA parsing, as each consumer used to inline it — asserting identical results request by request.
 func TestEngineMatchesLegacyPath(t *testing.T) {
 	cfg := weblog.DefaultConfig().Scaled(0.01)
 	cfg.Seed = 11

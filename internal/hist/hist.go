@@ -1,7 +1,6 @@
 // Package hist provides the repo's shared log-bucketed latency
 // histogram: fixed layout, no per-sample allocation, mergeable across
-// goroutine-private copies. It started life inside internal/stream's
-// load harness and was extracted so server-side middleware metrics and
+// goroutine-private copies, so server-side middleware metrics and
 // client-side load reports aggregate latencies identically.
 package hist
 

@@ -191,8 +191,8 @@ func (ff *FlatForest) PredictInto(dst []int, X [][]float64) {
 }
 
 // PredictProbaInto writes the vote-share class distribution for x into
-// dst[:Classes] — the allocation-free form of Forest.PredictProba,
-// bit-identical to it (same vote counts, same division).
+// dst[:Classes] without allocating: each tree's vote count divided by
+// the tree count.
 func (ff *FlatForest) PredictProbaInto(dst []float64, x []float64) {
 	dst = dst[:ff.Classes]
 	for c := range dst {

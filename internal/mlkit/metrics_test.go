@@ -124,7 +124,9 @@ func TestWeightedAUCROC(t *testing.T) {
 func TestEvaluateAgainstForest(t *testing.T) {
 	X, y := noisyData(800, 21)
 	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 30, Seed: 22})
-	rep := Evaluate(X, y, 3, f.Predict, f.PredictProba)
+	rep := Evaluate(X, y, 3,
+		func(x []float64) int { return refForestPredict(f, x) },
+		func(x []float64) []float64 { return refForestProba(f, x) })
 	if rep.Accuracy < 0.85 {
 		t.Errorf("training accuracy %.3f", rep.Accuracy)
 	}

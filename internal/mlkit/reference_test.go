@@ -162,6 +162,48 @@ func evaluateInto(X [][]float64, y []int, classes int,
 	return assembleReport(cm, probs, y, classes)
 }
 
+// refForestPredict is the pointer forest's majority vote — each tree's
+// Tree.Predict, ties to the lower class — that every FlatForest walk
+// must reproduce. The vote tally lives on the stack for up to 16
+// classes, so the pointer leg of BenchmarkForestPredict allocates
+// nothing.
+func refForestPredict(f *Forest, x []float64) int {
+	var buf [16]int
+	var votes []int
+	if f.Classes <= len(buf) {
+		votes = buf[:f.Classes]
+	} else {
+		votes = make([]int, f.Classes)
+	}
+	for _, t := range f.Trees {
+		votes[t.Predict(x)]++
+	}
+	best, bestN := 0, -1
+	for c, v := range votes {
+		if v > bestN {
+			best, bestN = c, v
+		}
+	}
+	return best
+}
+
+// refForestProba is the pointer forest's vote-share class distribution
+// for x, the reference FlatForest.PredictProbaInto must match bit for
+// bit (same counts, same division).
+func refForestProba(f *Forest, x []float64) []float64 {
+	p := make([]float64, f.Classes)
+	if len(f.Trees) == 0 {
+		return p
+	}
+	for _, t := range f.Trees {
+		p[t.Predict(x)]++
+	}
+	for c := range p {
+		p[c] /= float64(len(f.Trees))
+	}
+	return p
+}
+
 // refRepresentativeTree is RepresentativeTree on the pointer walk: the
 // forest vote and every tree's vote per row.
 func refRepresentativeTree(f *Forest, X [][]float64) *Tree {
@@ -173,7 +215,7 @@ func refRepresentativeTree(f *Forest, X [][]float64) *Tree {
 	}
 	forestPred := make([]int, len(X))
 	for i, x := range X {
-		forestPred[i] = f.Predict(x)
+		forestPred[i] = refForestPredict(f, x)
 	}
 	best, bestAgree := f.Trees[0], -1
 	for _, t := range f.Trees {

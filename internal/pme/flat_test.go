@@ -183,8 +183,9 @@ func TestHotSwapServesFreshFlat(t *testing.T) {
 	if res.Version != snap2.Version {
 		t.Fatalf("serving version %d, want %d", res.Version, snap2.Version)
 	}
-	// Ground truth from the new forest's pointer walk, bypassing every
-	// flat cache.
+	// Ground truth from a fresh compile of the new forest, bypassing
+	// every flat cache.
+	fresh := forest.Compile()
 	vec := make([]float64, dim)
 	for i := range items {
 		hour, weekday := items[i].timeFeatures()
@@ -194,7 +195,7 @@ func TestHotSwapServesFreshFlat(t *testing.T) {
 			Slot: items[i].Slot, IAB: items[i].IAB,
 			Hour: hour, Weekday: weekday,
 		})
-		want := snap2.Model.Binner.Representative(forest.Predict(vec))
+		want := snap2.Model.Binner.Representative(fresh.Predict(vec))
 		if res.EstimatesCPM[i] != want {
 			t.Fatalf("item %d: estimate %v, new forest says %v — stale flat cache?", i, res.EstimatesCPM[i], want)
 		}

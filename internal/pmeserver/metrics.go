@@ -14,7 +14,7 @@ import (
 // endpointMetrics is one route's live counters and latency histogram.
 // Counters are atomic; the histogram is the shared internal/hist layout
 // behind a mutex (hist.Sync), so server-side latencies aggregate with
-// the exact bucket scheme loadgen's client-side reports use.
+// the exact bucket scheme scaletest's client-side reports use.
 type endpointMetrics struct {
 	requests    atomic.Int64
 	errors      atomic.Int64 // responses with status >= 400

@@ -15,7 +15,8 @@ import (
 	"yourandvalue/internal/nurl"
 	"yourandvalue/internal/obs/trace"
 	"yourandvalue/internal/pmeserver"
-	"yourandvalue/internal/stream"
+	"yourandvalue/internal/useragent"
+	"yourandvalue/internal/weblog"
 )
 
 // clientStats is one client slot's private accounting, merged into the
@@ -35,7 +36,7 @@ type clientStats struct {
 type clientEnv struct {
 	cfg      *Config
 	prof     Profile
-	events   <-chan stream.Event
+	events   <-chan weblog.Request
 	budget   *atomic.Int64
 	geo      *geoip.DB
 	registry *nurl.Registry
@@ -112,11 +113,11 @@ func (e *clientEnv) runClient(ctx context.Context, idx int, id string, st *clien
 		var contributions []pmeserver.Contribution
 		var items []pmeserver.EstimateItem
 		if prof.NeedsEvents() {
-			batch := stream.NextBatch(ctx, e.events, cfg.BatchSize)
+			batch := nextBatch(ctx, e.events, cfg.BatchSize)
 			if len(batch) == 0 {
-				return // source drained or ctx cancelled
+				return // trace spent or ctx cancelled
 			}
-			contributions, items = stream.Convert(batch, e.geo, e.registry)
+			contributions, items = convert(batch, e.geo, e.registry)
 		}
 
 		root := e.tracer.Root("op").
@@ -281,6 +282,83 @@ func (e *clientEnv) estimateBurst(ctx context.Context, pc *pmeserver.Client, roo
 		}
 	}
 	return true
+}
+
+// nextBatch pulls up to n requests: it blocks for the first, then
+// drains without blocking, so a client never waits to fill a batch.
+// It returns nil once the channel is closed and empty or ctx is done.
+func nextBatch(ctx context.Context, reqs <-chan weblog.Request, n int) []weblog.Request {
+	batch := make([]weblog.Request, 0, n)
+	select {
+	case r, ok := <-reqs:
+		if !ok {
+			return nil
+		}
+		batch = append(batch, r)
+	case <-ctx.Done():
+		return nil
+	}
+	for len(batch) < n {
+		select {
+		case r, ok := <-reqs:
+			if !ok {
+				return batch
+			}
+			batch = append(batch, r)
+		default:
+			return batch
+		}
+	}
+	return batch
+}
+
+// convert turns trace requests into the anonymous payloads a real
+// client would upload (§3.3): a contribution for every detected price
+// notification and an estimate query for each encrypted one.
+func convert(batch []weblog.Request, geo *geoip.DB, registry *nurl.Registry) ([]pmeserver.Contribution, []pmeserver.EstimateItem) {
+	var contributions []pmeserver.Contribution
+	var items []pmeserver.EstimateItem
+	for _, r := range batch {
+		n, ok := registry.Parse(r.URL)
+		if !ok || n.Kind == nurl.NoPrice {
+			continue
+		}
+		dev := useragent.Parse(r.UserAgent)
+		origin := "web"
+		if dev.Origin == useragent.MobileApp {
+			origin = "app"
+		}
+		slot := ""
+		if n.Width > 0 && n.Height > 0 {
+			slot = fmt.Sprintf("%dx%d", n.Width, n.Height)
+		}
+		city := geo.LookupString(r.ClientIP).String()
+		c := pmeserver.Contribution{
+			Observed:  r.Time,
+			ADX:       n.ADX,
+			Encrypted: n.Kind == nurl.Encrypted,
+			City:      city,
+			OS:        dev.OS.String(),
+			Device:    dev.Type.String(),
+			Origin:    origin,
+			Slot:      slot,
+		}
+		if n.Kind == nurl.Cleartext {
+			c.PriceCPM = n.PriceCPM
+		} else {
+			items = append(items, pmeserver.EstimateItem{
+				Observed: r.Time,
+				ADX:      n.ADX,
+				City:     city,
+				OS:       dev.OS.String(),
+				Device:   dev.Type.String(),
+				Origin:   origin,
+				Slot:     slot,
+			})
+		}
+		contributions = append(contributions, c)
+	}
+	return contributions, items
 }
 
 // due reports whether a cadence fires on this cycle (cadence 0 never

@@ -95,9 +95,9 @@ func GeometricSteps(start, limit int) []int {
 	return append(steps, limit)
 }
 
-// RunRamp executes cfg's workload once per ramp step, each step with a
-// fresh source (same scenario, same seed — every step replays the same
-// world). Cancellation mid-ramp returns the completed steps together
+// RunRamp executes cfg's workload once per ramp step, each step
+// generating its trace afresh (same scenario, same seed — every step
+// replays the same world). Cancellation mid-ramp returns the completed steps together
 // with ctx's error; the aborted partial step is discarded. Per-step SLO
 // evaluation lands on each step's Result as in Run.
 func RunRamp(ctx context.Context, cfg Config, rc RampConfig) (*RampReport, error) {
@@ -136,9 +136,6 @@ func RunRamp(ctx context.Context, cfg Config, rc RampConfig) (*RampReport, error
 		stepCfg.Clients = n
 		stepCfg.Duration = rc.StepDuration
 		stepCfg.MaxOps = rc.StepMaxOps
-		// Each step must replay the world from the start; a one-shot
-		// Source would hand step 2 a drained channel.
-		stepCfg.Source = nil
 		res, err := Run(ctx, stepCfg)
 		if err != nil {
 			return rep, err

@@ -16,7 +16,7 @@ import (
 	"yourandvalue/internal/nurl"
 	"yourandvalue/internal/obs/trace"
 	"yourandvalue/internal/scenario"
-	"yourandvalue/internal/stream"
+	"yourandvalue/internal/weblog"
 )
 
 // Config drives one workload run: a named strategy's client fleet
@@ -24,25 +24,21 @@ import (
 type Config struct {
 	// BaseURL is the pmeserver root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Strategy names the workload profile (see Strategies). Ignored when
-	// Profile is set directly.
+	// Strategy names the workload profile (see Strategies).
 	Strategy string
-	// Profile overrides the named-strategy lookup — the hook
-	// cmd/loadgen's compatibility mix uses.
-	Profile *Profile
 	// Clients is the fleet size (default 1).
 	Clients int
 	// Scenario names the simulated world feeding the clients (default
-	// "baseline"); used when no Source/NewSource is supplied.
+	// "baseline").
 	Scenario string
-	// Scale is the trace scale in (0,1] for scenario-built sources
-	// (default 0.05).
+	// Scale is the scale in (0,1] of the scenario trace the clients
+	// replay (default 0.05).
 	Scale float64
 	// Seed drives the scenario traffic and churn lifetimes.
 	Seed int64
-	// BatchSize is stream events consumed per operation cycle (default 32).
+	// BatchSize is trace requests consumed per operation cycle (default 32).
 	BatchSize int
-	// Buffer bounds the event channel (default 1024).
+	// Buffer bounds the request channel (default 1024).
 	Buffer int
 	// Duration caps the wall-clock run when positive.
 	Duration time.Duration
@@ -65,19 +61,10 @@ type Config struct {
 	// profile's DefaultSLO; to disable every gate pass
 	// &SLO{MaxErrorRate: -1}.
 	SLO *SLO
-	// Source feeds the impression traffic when set (one-shot; a drained
-	// source ends the run).
-	Source stream.Source
-	// NewSource builds a fresh source per run — what RunRamp uses so
-	// every step replays the same world from the start.
-	NewSource func() stream.Source
 }
 
 // profile resolves the effective workload profile.
 func (c *Config) profile() (Profile, error) {
-	if c.Profile != nil {
-		return *c.Profile, nil
-	}
 	name := c.Strategy
 	if name == "" {
 		name = "mixed"
@@ -85,21 +72,15 @@ func (c *Config) profile() (Profile, error) {
 	return ProfileFor(name)
 }
 
-// source resolves the event source for one run.
-func (c *Config) source() (stream.Source, error) {
-	if c.Source != nil {
-		return c.Source, nil
-	}
-	if c.NewSource != nil {
-		return c.NewSource(), nil
-	}
+// traceConfig resolves the scenario trace one run's clients replay.
+func (c *Config) traceConfig() (weblog.Config, error) {
 	name := c.Scenario
 	if name == "" {
 		name = "baseline"
 	}
 	sc, err := scenario.Get(name)
 	if err != nil {
-		return nil, err
+		return weblog.Config{}, err
 	}
 	scale := c.Scale
 	if scale <= 0 {
@@ -107,7 +88,24 @@ func (c *Config) source() (stream.Source, error) {
 	}
 	wcfg := sc.TraceConfig(c.Seed, scale)
 	wcfg.Workers = runtime.GOMAXPROCS(0)
-	return stream.NewGeneratorSource(wcfg), nil
+	return wcfg, nil
+}
+
+// feed generates the trace user by user (weblog.GenerateStream, so
+// memory stays bounded by the generator's reorder window) and sends
+// every request, each user's in time order, into out. A full out blocks
+// generation; a done ctx ends it with ctx's error. It does not close out.
+func feed(ctx context.Context, wcfg weblog.Config, out chan<- weblog.Request) error {
+	return weblog.GenerateStream(wcfg, nil, func(ut weblog.UserTrace) error {
+		for _, r := range ut.Requests {
+			select {
+			case out <- r:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		return nil
+	})
 }
 
 // Result aggregates what one strategy's fleet observed.
@@ -186,7 +184,7 @@ func (r *Result) String() string {
 
 // Run executes one workload strategy and reports throughput, latency
 // histograms, error counts, peak heap, and the evaluated SLO. It
-// returns when the source drains, the op budget or duration is spent,
+// returns when the trace is spent, the op budget or duration is spent,
 // or ctx is cancelled (cancellation is a normal end of test). An SLO
 // violation is reported in Result.SLO, not as an error — the error path
 // is for runs that could not execute.
@@ -212,23 +210,23 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, cfg.Duration)
 		defer cancel()
 	}
-	// The source must not outlive the fleet: once every client exits,
-	// cancel generation rather than letting it block on the full channel.
-	ctx, stopSource := context.WithCancel(ctx)
-	defer stopSource()
+	// Generation must not outlive the fleet: once every client exits,
+	// cancel it rather than letting it block on the full channel.
+	ctx, stopGen := context.WithCancel(ctx)
+	defer stopGen()
 
-	var events chan stream.Event
-	srcErr := make(chan error, 1)
+	var events chan weblog.Request
+	genErr := make(chan error, 1)
 	if prof.NeedsEvents() {
-		src, err := cfg.source()
+		wcfg, err := cfg.traceConfig()
 		if err != nil {
 			return nil, err
 		}
-		events = make(chan stream.Event, cfg.Buffer)
+		events = make(chan weblog.Request, cfg.Buffer)
 		go func() {
-			err := src.Run(ctx, events)
+			err := feed(ctx, wcfg, events)
 			close(events)
-			srcErr <- err
+			genErr <- err
 		}()
 	}
 
@@ -289,10 +287,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	stopSource()
-	var srcRunErr error
+	stopGen()
+	var genRunErr error
 	if events != nil {
-		srcRunErr = <-srcErr
+		genRunErr = <-genErr
 	}
 	close(heapStop)
 	<-heapDone
@@ -335,9 +333,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res.SLO = slo.Check(res)
 
-	// A source stopped by the harness's own deadline is a normal end.
-	if srcRunErr != nil && !errors.Is(srcRunErr, context.Canceled) && !errors.Is(srcRunErr, context.DeadlineExceeded) {
-		return res, srcRunErr
+	// Generation stopped by the harness's own deadline is a normal end.
+	if genRunErr != nil && !errors.Is(genRunErr, context.Canceled) && !errors.Is(genRunErr, context.DeadlineExceeded) {
+		return res, genRunErr
 	}
 	return res, nil
 }

@@ -3,9 +3,15 @@ package scaletest
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
+
+	"yourandvalue/internal/pme"
+	"yourandvalue/internal/pmeserver"
+	"yourandvalue/internal/scenario"
+	"yourandvalue/internal/weblog"
 )
 
 // Shared live fixture: one self-hosted pmeserver (small campaign-trained
@@ -40,6 +46,45 @@ func testCfg(tb testing.TB, strategy string, clients int, maxOps int64) Config {
 		BatchSize: 16,
 		Duration:  30 * time.Second,
 		MaxOps:    maxOps,
+	}
+}
+
+// TestFeedDeliversWholeTrace: the generator feed must push the whole
+// scenario trace through a one-slot channel (backpressure, not
+// buffering), each user's requests in time order, and a cancelled
+// consumer must stop it with ctx's error.
+func TestFeedDeliversWholeTrace(t *testing.T) {
+	wcfg := scenario.Default().TraceConfig(11, 0.02)
+	out := make(chan weblog.Request, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- feed(context.Background(), wcfg, out)
+		close(out)
+	}()
+	n := 0
+	last := make(map[int]time.Time)
+	for r := range out {
+		n++
+		if r.Time.Before(last[r.UserID]) {
+			t.Fatalf("user %d: request at %v after one at %v", r.UserID, r.Time, last[r.UserID])
+		}
+		last[r.UserID] = r.Time
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if want := len(weblog.Generate(wcfg).Requests); n != want {
+		t.Errorf("fed %d requests, the batch trace has %d", n, want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan error, 1)
+	out = make(chan weblog.Request)
+	go func() { stopped <- feed(ctx, wcfg, out) }()
+	<-out
+	cancel()
+	if err := <-stopped; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled feed returned %v, want context.Canceled", err)
 	}
 }
 
@@ -114,6 +159,89 @@ func TestRunModelPollETags(t *testing.T) {
 	}
 	if res.Errors != 0 {
 		t.Fatalf("%d request errors", res.Errors)
+	}
+}
+
+// TestRunPoolFull: a saturated contribution pool must surface as
+// counted 507s, not as request errors.
+func TestRunPoolFull(t *testing.T) {
+	srv, err := pmeserver.New(liveHost(t).Server.Model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetMaxPool(1)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	cfg := testCfg(t, "contribute-heavy", 8, 64)
+	cfg.BaseURL = ts.URL
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 {
+		t.Fatalf("pool-full runs must not count request errors, got %d", res.Errors)
+	}
+	if res.PoolFull == 0 {
+		t.Fatal("expected 507 pool-full responses")
+	}
+}
+
+// TestRunStreamHeavyHotSwap: the stream-heavy fleet drives
+// POST /v2/estimate/stream while a publisher goroutine hot-swaps model
+// versions through the server's registry — zero request errors, every
+// estimate served, and the 'stream' histogram populated (CI runs the
+// package under -race).
+func TestRunStreamHeavyHotSwap(t *testing.T) {
+	model := liveHost(t).Server.Model()
+	registry := pme.NewRegistry()
+	first, err := registry.Publish(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := pmeserver.New(nil, pmeserver.WithRegistry(registry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// The hot-swapper runs for the whole load test.
+	swapCtx, stopSwap := context.WithCancel(context.Background())
+	swapDone := make(chan struct{})
+	go func() {
+		defer close(swapDone)
+		for swapCtx.Err() == nil {
+			if _, err := registry.Publish(model); err != nil {
+				t.Errorf("publish during load: %v", err)
+				return
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+
+	cfg := testCfg(t, "stream-heavy", 32, 192)
+	cfg.BaseURL = ts.URL
+	res, err := Run(context.Background(), cfg)
+	stopSwap()
+	<-swapDone
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 {
+		t.Fatalf("%d errors during concurrent hot-swap:\n%s", res.Errors, res)
+	}
+	if res.Estimated == 0 {
+		t.Fatal("stream-heavy returned no estimates")
+	}
+	if res.Endpoints["stream"].Count() == 0 {
+		t.Error("stream histogram recorded nothing")
+	}
+	if res.Endpoints["estimate"].Count() != 0 {
+		t.Error("stream-heavy must not touch the batch-estimate endpoint")
+	}
+	if v := registry.Current().Version; v <= first.Version {
+		t.Errorf("hot-swapper never advanced the version (current %d)", v)
 	}
 }
 

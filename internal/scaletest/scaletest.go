@@ -11,9 +11,6 @@
 // the knee of the throughput curve (ramp.go), a persisted BENCH_*.json
 // artifact schema (bench.go), and request-level spans recorded into an
 // internal/obs/trace Tracer (Config.Tracer).
-//
-// It supersedes stream.RunLoad and cmd/loadgen, which survive as a
-// deprecated API and a thin compatibility wrapper respectively.
 package scaletest
 
 import (

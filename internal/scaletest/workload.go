@@ -7,10 +7,9 @@ import (
 )
 
 // Profile shapes one synthetic client's operation cycle: which requests
-// it issues and how often, in cycles. Each cycle consumes one event
-// batch from the scenario stream (when any op needs events) and issues
-// the ops whose cadence divides the cycle number — the same cadence
-// scheme stream.RunLoad used, generalized so one client loop serves
+// it issues and how often, in cycles. Each cycle consumes one batch of
+// scenario trace requests (when any op needs events) and issues the ops
+// whose cadence divides the cycle number, so one client loop serves
 // every named strategy.
 type Profile struct {
 	// Name is the strategy name ("estimate-heavy", ...).
@@ -44,8 +43,8 @@ type Profile struct {
 	DefaultSLO SLO
 }
 
-// NeedsEvents reports whether the profile consumes the scenario stream
-// at all (a pure model-poll fleet does not).
+// NeedsEvents reports whether the profile consumes scenario trace
+// requests at all (a pure model-poll fleet does not).
 func (p Profile) NeedsEvents() bool {
 	return p.ContributeEvery > 0 || p.EstimateEvery > 0 || p.StreamEvery > 0
 }

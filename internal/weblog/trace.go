@@ -51,10 +51,9 @@ func (r Request) Detect() detect.Record {
 	}
 }
 
-// UserShard returns the shard in [0, n) that owns userID. Every
-// consumer that partitions requests by user — the analyzer's fold and
-// the stream aggregator — routes with it, so all of a user's requests
-// meet one shard; negative IDs (hand-built traces) map into range too.
+// UserShard returns the shard in [0, n) that owns userID. The analyzer's
+// per-user fold routes with it, so all of a user's requests meet one
+// shard; negative IDs (hand-built traces) map into range too.
 func UserShard(userID, n int) int {
 	s := userID % n
 	if s < 0 {

@@ -2,6 +2,7 @@ package weblog
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -18,6 +19,37 @@ func smallConfig(seed int64) Config {
 	c := DefaultConfig().Scaled(0.02)
 	c.Seed = seed
 	return c
+}
+
+// TestUserShard pins the user → shard routing every per-user
+// partitioner shares: results stay in [0, n) for negative IDs and at the
+// ends of the int range, and neighbouring IDs land on neighbouring
+// shards, so a hand-built trace with negative IDs still spreads evenly.
+func TestUserShard(t *testing.T) {
+	for _, c := range []struct{ id, n, want int }{
+		{0, 1, 0}, {7, 1, 0}, {-7, 1, 0},
+		{0, 2, 0}, {-1, 2, 1}, {-2, 2, 0},
+		{0, 3, 0}, {4, 3, 1}, {-1, 3, 2}, {-3, 3, 0}, {-4, 3, 2},
+		{math.MinInt, 2, 0}, {math.MinInt, 3, 1}, {math.MinInt, 7, 6},
+		{math.MinInt + 1, 3, 2}, {math.MinInt + 1, 7, 0},
+		{math.MaxInt, 3, 1}, {math.MaxInt, 7, 0},
+	} {
+		if got := UserShard(c.id, c.n); got != c.want {
+			t.Errorf("UserShard(%d, %d) = %d, want %d", c.id, c.n, got, c.want)
+		}
+	}
+	ids := []int{math.MinInt, math.MinInt + 1, math.MinInt + 2, -8, -1, 0, 1, 8, math.MaxInt - 1}
+	for _, n := range []int{1, 2, 3, 7} {
+		for _, id := range ids {
+			s := UserShard(id, n)
+			if s < 0 || s >= n {
+				t.Errorf("UserShard(%d, %d) = %d, outside [0, %d)", id, n, s, n)
+			}
+			if next := UserShard(id+1, n); next != (s+1)%n {
+				t.Errorf("UserShard(%d, %d) = %d after %d, want %d", id+1, n, next, s, (s+1)%n)
+			}
+		}
+	}
 }
 
 func TestCatalog(t *testing.T) {

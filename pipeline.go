@@ -14,7 +14,6 @@ import (
 	"yourandvalue/internal/obs"
 	"yourandvalue/internal/pme"
 	"yourandvalue/internal/rtb"
-	"yourandvalue/internal/stream"
 	"yourandvalue/internal/weblog"
 )
 
@@ -30,10 +29,6 @@ const (
 	StageRunCampaigns  Stage = "run-campaigns"
 	StageTrainModel    Stage = "train-model"
 	StageEstimateCosts Stage = "estimate-costs"
-	// StageStreamCosts is the online alternative to StageEstimateCosts:
-	// events flow through a sharded stream.Aggregator instead of a
-	// materialized batch.
-	StageStreamCosts Stage = "stream-costs"
 )
 
 // StageState is the lifecycle position a StageEvent reports.
@@ -123,10 +118,9 @@ func WithProgress(fn func(StageEvent)) Option {
 
 // WithObservability records every stage run on an obs registry —
 // pipeline_stage_duration_seconds{stage} for wall time and
-// pipeline_stage_failures_total{stage} for errors — and instruments the
-// streaming cost stage's aggregator (snapshot lag, distributed events)
-// on the same registry, so a serving process scraping /metrics sees its
-// bootstrap pipeline's progress alongside the request series.
+// pipeline_stage_failures_total{stage} for errors — so a serving process
+// scraping /metrics sees its bootstrap pipeline's progress alongside the
+// request series.
 func WithObservability(r *obs.Registry) Option {
 	return func(p *Pipeline) { p.obs = r }
 }
@@ -136,9 +130,9 @@ func WithObservability(r *obs.Registry) Option {
 // window holds ~2×n user traces), analysis (Analyze folds n user
 // shards, each with its own detection engine), model training
 // (TrainModel grows the served forest's trees, then the
-// cross-validation folds, on n goroutines) and
-// per-user cost estimation (batch and streaming). The default is
-// GOMAXPROCS. Stage outputs are bit-identical at any worker count.
+// cross-validation folds, on n goroutines) and per-user cost
+// estimation. The default is GOMAXPROCS. Stage outputs are
+// bit-identical at any worker count.
 func WithWorkers(n int) Option {
 	return func(p *Pipeline) { p.workers = n }
 }
@@ -406,40 +400,16 @@ func (p *Pipeline) EstimateCosts(ctx context.Context, res *analyzer.Result, mode
 	return costs, nil
 }
 
-// EstimateCostsStreaming is the online form of EstimateCosts: events
-// from src flow through a sharded stream.Aggregator backed by the model,
-// with bounded-channel backpressure, periodic immutable snapshots, and
-// incremental top-K summaries. Per-user costs are bit-identical to the
-// batch EstimateCosts path over the same trace for any worker count (the
-// pipeline's WithWorkers sets the shard count): both paths run the same
-// internal/detect engine and encoder, so their equivalence is by
-// construction rather than by two copies kept in sync.
-func (p *Pipeline) EstimateCostsStreaming(ctx context.Context, src stream.Source, model *core.Model) (*stream.Result, error) {
-	if src == nil || model == nil {
-		return nil, fmt.Errorf("yourandvalue: EstimateCostsStreaming needs a source and a model")
-	}
-	var res *stream.Result
-	err := p.runStage(ctx, StageStreamCosts, func() error {
-		agg := stream.NewAggregator(model, src.Directory(), stream.WithShards(p.workers))
-		agg.Instrument(p.obs)
-		var err error
-		res, err = agg.Run(ctx, src)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// executeModel runs stages 1–4 (trace, then analysis ∥ campaigns, then
-// training) — the shared prefix of Execute and ExecuteStreaming. The
-// model it returns carries its §5.4 cross-validated metrics: it waits
-// for the CV and returns a clone with them filled in.
-func (p *Pipeline) executeModel(ctx context.Context) (*TraceArtifact, *analyzer.Result, *CampaignArtifact, *core.Model, error) {
+// Execute runs every stage in dependency order — Analyze and RunCampaigns
+// concurrently, both feeding TrainModel — and assembles the Study. It is
+// the staged equivalent of Run and returns the first stage error,
+// including ctx.Err() after cancellation. The Study's model carries its
+// §5.4 cross-validated metrics: Execute waits for the CV and fills them
+// into a clone.
+func (p *Pipeline) Execute(ctx context.Context) (*Study, error) {
 	tr, err := p.GenerateTrace(ctx)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
 
 	// Stage 2 and 3 both depend only on the trace; run them in parallel.
@@ -461,28 +431,27 @@ func (p *Pipeline) executeModel(ctx context.Context) (*TraceArtifact, *analyzer.
 	}()
 	wg.Wait()
 	if aErr != nil {
-		return nil, nil, nil, nil, fmt.Errorf("yourandvalue: %w", aErr)
+		return nil, fmt.Errorf("yourandvalue: %w", aErr)
 	}
 	if cErr != nil {
-		return nil, nil, nil, nil, fmt.Errorf("yourandvalue: %w", cErr)
+		return nil, fmt.Errorf("yourandvalue: %w", cErr)
 	}
 
 	model, err := p.TrainModel(ctx, res, camps)
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("yourandvalue: %w", err)
+		return nil, fmt.Errorf("yourandvalue: %w", err)
 	}
 	metrics, err := model.CV.Wait(ctx)
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("yourandvalue: cross-validation: %w", err)
+		return nil, fmt.Errorf("yourandvalue: cross-validation: %w", err)
 	}
 	model = model.CloneWithVersion(model.Version, model.TrainedAt)
 	model.Metrics = metrics
-	return tr, res, camps, model, nil
-}
 
-// assembleStudy builds the Study both Execute variants return; only the
-// cost map (and, for streaming runs, the snapshot) differs between them.
-func (p *Pipeline) assembleStudy(tr *TraceArtifact, res *analyzer.Result, camps *CampaignArtifact, model *core.Model, costs map[int]*core.UserCost) *Study {
+	costs, err := p.EstimateCosts(ctx, res, model)
+	if err != nil {
+		return nil, fmt.Errorf("yourandvalue: %w", err)
+	}
 	return &Study{
 		Config:    p.cfg,
 		Ecosystem: tr.Ecosystem,
@@ -493,45 +462,5 @@ func (p *Pipeline) assembleStudy(tr *TraceArtifact, res *analyzer.Result, camps 
 		Model:     model,
 		Costs:     costs,
 		Baseline:  baseline.New(res),
-	}
-}
-
-// Execute runs every stage in dependency order — Analyze and RunCampaigns
-// concurrently, both feeding TrainModel — and assembles the Study. It is
-// the staged equivalent of Run and returns the first stage error,
-// including ctx.Err() after cancellation.
-func (p *Pipeline) Execute(ctx context.Context) (*Study, error) {
-	tr, res, camps, model, err := p.executeModel(ctx)
-	if err != nil {
-		return nil, err
-	}
-	costs, err := p.EstimateCosts(ctx, res, model)
-	if err != nil {
-		return nil, fmt.Errorf("yourandvalue: %w", err)
-	}
-	return p.assembleStudy(tr, res, camps, model, costs), nil
-}
-
-// ExecuteStreaming is Execute with the cost stage run online: the
-// generated trace is replayed as an event stream through
-// EstimateCostsStreaming instead of estimated in batch. The resulting
-// Study carries costs bit-identical to Execute's for the same seed, plus
-// the final stream snapshot (top-K users/advertisers, running totals) in
-// Study.Stream.
-func (p *Pipeline) ExecuteStreaming(ctx context.Context) (*Study, error) {
-	tr, res, camps, model, err := p.executeModel(ctx)
-	if err != nil {
-		return nil, err
-	}
-	src, err := stream.NewReplaySource(tr.Trace)
-	if err != nil {
-		return nil, fmt.Errorf("yourandvalue: %w", err)
-	}
-	sres, err := p.EstimateCostsStreaming(ctx, src, model)
-	if err != nil {
-		return nil, fmt.Errorf("yourandvalue: %w", err)
-	}
-	study := p.assembleStudy(tr, res, camps, model, sres.Costs)
-	study.Stream = sres.Final
-	return study, nil
+	}, nil
 }

@@ -239,80 +239,6 @@ func TestPipelineProgressEvents(t *testing.T) {
 	}
 }
 
-// TestExecuteStreamingMatchesBatch: the streaming cost path must yield
-// per-user costs identical to the batch EstimateCosts path for the same
-// seed, at every worker count (the PR's equivalence guarantee; CI also
-// runs this under -race).
-func TestExecuteStreamingMatchesBatch(t *testing.T) {
-	ctx := context.Background()
-	p, err := NewPipeline(tinyOptions()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := p.Execute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{1, 2, 8} {
-		p2, err := NewPipeline(append(tinyOptions(), WithWorkers(workers))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed, err := p2.ExecuteStreaming(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(streamed.Costs, batch.Costs) {
-			t.Fatalf("streaming costs (workers=%d) differ from batch", workers)
-		}
-		if streamed.Stream == nil {
-			t.Fatal("streaming study carries no snapshot")
-		}
-		if streamed.Stream.Users != len(streamed.Costs) {
-			t.Errorf("snapshot users = %d, want %d", streamed.Stream.Users, len(streamed.Costs))
-		}
-		// Derived figures agree because the cost maps agree.
-		if got, want := streamed.Figure17().String(), batch.Figure17().String(); got != want {
-			t.Fatalf("Figure 17 differs between streaming and batch:\n%s\nvs\n%s", got, want)
-		}
-	}
-
-	// The streaming stage reports progress under its own stage name.
-	var mu sync.Mutex
-	seen := false
-	p3, err := NewPipeline(append(tinyOptions(), WithProgress(func(ev StageEvent) {
-		mu.Lock()
-		defer mu.Unlock()
-		if ev.Stage == StageStreamCosts && ev.State == StageCompleted {
-			seen = true
-		}
-	}))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p3.ExecuteStreaming(ctx); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if !seen {
-		t.Error("no StageStreamCosts completion event observed")
-	}
-}
-
-// TestEstimateCostsStreamingValidates: the streaming stage rejects
-// missing artifacts like every other stage method.
-func TestEstimateCostsStreamingValidates(t *testing.T) {
-	p, err := NewPipeline(tinyOptions()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.EstimateCostsStreaming(context.Background(), nil, nil); err == nil {
-		t.Error("nil source and model accepted")
-	}
-}
-
 // TestBatchEstimateShardingDeterministic: the sharded cost stage must be
 // bit-identical to the sequential path for any worker count.
 func TestBatchEstimateShardingDeterministic(t *testing.T) {

@@ -23,7 +23,6 @@ import (
 	"yourandvalue/internal/core"
 	"yourandvalue/internal/rtb"
 	"yourandvalue/internal/scenario"
-	"yourandvalue/internal/stream"
 	"yourandvalue/internal/weblog"
 )
 
@@ -109,11 +108,7 @@ type Study struct {
 	A2        *campaign.Report // MoPub cleartext round
 	Model     *core.Model
 	Costs     map[int]*core.UserCost
-	// Stream is the final aggregation snapshot (running totals and
-	// top-K summaries) when the study ran via ExecuteStreaming; nil for
-	// batch runs.
-	Stream   *stream.Snapshot
-	Baseline *baseline.Estimator
+	Baseline  *baseline.Estimator
 }
 
 // Run executes the complete pipeline of the paper:
