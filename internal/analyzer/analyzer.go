@@ -206,14 +206,33 @@ type shard struct {
 	users     map[int]*UserSummary
 	detectors map[int]*cookiesync.Detector
 	classes   map[trafficclass.Class]int
-	hits      []hit // detected impressions, in request order
+	// hits holds the detected impressions in request order, hitBlock
+	// to a block, so a growing shard never copies the hits it has.
+	hits  [][]hit
+	nhits int
 }
+
+// hitBlock is the number of hits per shard block.
+const hitBlock = 1024
 
 // hit is a detected impression and the index of its request.
 type hit struct {
 	req int
 	imp Impression
 }
+
+// add appends a hit, opening a new block when the last one is full.
+func (sh *shard) add(req int, imp *Impression) {
+	if sh.nhits%hitBlock == 0 {
+		sh.hits = append(sh.hits, make([]hit, 0, hitBlock))
+	}
+	b := &sh.hits[len(sh.hits)-1]
+	*b = append(*b, hit{req: req, imp: *imp})
+	sh.nhits++
+}
+
+// at returns the shard's k-th hit.
+func (sh *shard) at(k int) *hit { return &sh.hits[k/hitBlock][k%hitBlock] }
 
 func (a *Analyzer) newShard() *shard {
 	return &shard{
@@ -279,7 +298,7 @@ func (sh *shard) fold(requests []weblog.Request, id, n int) {
 				u.Beacons++
 			}
 			if em.Detected {
-				sh.hits = append(sh.hits, hit{req: i, imp: em.Impression})
+				sh.add(i, &em.Impression)
 			}
 		}
 	}
@@ -295,13 +314,13 @@ func merge(requests []weblog.Request, shards []*shard) *Result {
 		ClassCounts: shards[0].classes,
 		Publishers:  make(map[string]int),
 	}
-	hits := len(shards[0].hits)
+	hits := shards[0].nhits
 	for _, sh := range shards[1:] {
 		maps.Copy(res.Users, sh.users)
 		for c, n := range sh.classes {
 			res.ClassCounts[c] += n
 		}
-		hits += len(sh.hits)
+		hits += sh.nhits
 	}
 	if hits > 0 {
 		res.Impressions = make([]Impression, 0, hits)
@@ -310,14 +329,14 @@ func merge(requests []weblog.Request, shards []*shard) *Result {
 	for {
 		best := -1
 		for s, sh := range shards {
-			if next[s] < len(sh.hits) && (best < 0 || sh.hits[next[s]].req < shards[best].hits[next[best]].req) {
+			if next[s] < sh.nhits && (best < 0 || sh.at(next[s]).req < shards[best].at(next[best]).req) {
 				best = s
 			}
 		}
 		if best < 0 {
 			return res
 		}
-		h := &shards[best].hits[next[best]]
+		h := shards[best].at(next[best])
 		next[best]++
 		r := &requests[h.req]
 		recordImpression(res, res.Users[r.UserID], r, &h.imp)

@@ -125,3 +125,46 @@ func BenchmarkAnalyze(b *testing.B) {
 		})
 	}
 }
+
+// TestAnalyzeAcrossHitBlocks: a user with several blocks' worth of
+// detected impressions, interleaved in time with two lighter users, so
+// one shard's hits cross block boundaries at every worker count. The
+// Result equals the single-worker one field for field, and its
+// impressions follow request order.
+func TestAnalyzeAcrossHitBlocks(t *testing.T) {
+	mopub, _ := nurl.Default().FindByName("MoPub")
+	t0 := time.Date(2015, 5, 4, 8, 0, 0, 0, time.UTC)
+	var reqs []weblog.Request
+	var prices []float64
+	for n := 0; n < 3*hitBlock; n++ {
+		user := 4
+		if n%5 == 0 {
+			user = -3 + n%2
+		}
+		price := 0.01 * float64(n+1)
+		nu := nurl.Build(mopub, nurl.BuildSpec{PriceCPM: price, DSP: fmt.Sprintf("dsp-%d", n%4)})
+		host, _, _, _ := nurl.SplitURL(nu)
+		reqs = append(reqs, weblog.Request{
+			Time: t0.Add(time.Duration(n) * time.Minute), UserID: user,
+			URL: nu, Host: host, Bytes: int64(600 + n), DurationMS: float64(n) / 7,
+		})
+		prices = append(prices, price)
+	}
+	ref := New(nil).Analyze(reqs)
+	if len(ref.Impressions) != len(reqs) || ref.Users[4].Impressions <= 2*hitBlock {
+		t.Fatalf("degenerate reference: %d impressions, user 4 has %d",
+			len(ref.Impressions), ref.Users[4].Impressions)
+	}
+	for i, imp := range ref.Impressions {
+		if imp.Notification.PriceCPM != prices[i] {
+			t.Fatalf("impression %d: price %v, want %v (request order)", i, imp.Notification.PriceCPM, prices[i])
+		}
+	}
+	for _, w := range []int{2, 3, 7} {
+		a := New(nil)
+		a.Workers = w
+		if got := a.Analyze(reqs); !reflect.DeepEqual(got, ref) {
+			t.Errorf("Analyze at %d workers differs from 1 worker", w)
+		}
+	}
+}

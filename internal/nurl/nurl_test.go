@@ -2,7 +2,6 @@ package nurl
 
 import (
 	"math"
-	"net/url"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -288,18 +287,5 @@ func TestParamCount(t *testing.T) {
 	n, ok := Default().Parse(raw)
 	if !ok || n.Params != 4 {
 		t.Errorf("params = %d, want 4", n.Params)
-	}
-}
-
-func TestBuildExtraParams(t *testing.T) {
-	r := Default()
-	mopub, _ := r.FindByName("MoPub")
-	raw := Build(mopub, BuildSpec{PriceCPM: 0.5, Extra: url.Values{"country": {"ES"}}})
-	u, err := url.Parse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Query().Get("country") != "ES" {
-		t.Error("extra param lost")
 	}
 }

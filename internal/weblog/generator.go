@@ -2,7 +2,7 @@ package weblog
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -114,16 +114,21 @@ var (
 
 // Generate materializes a synthetic year-long trace per the config. The
 // result is deterministic in Config.Seed at any Config.Workers count.
-// Generate is the batch form of GenerateStream: it accumulates every
-// user's records and applies the global time sort.
+// Generate is the batch form of GenerateStream: it keeps every user's
+// time-sorted records as a run and merges the runs by time into slices
+// allocated once at their final size. Equal timestamps keep the run of
+// the lower user position first and a run's own order within it, which
+// is the order a stable sort of the concatenated runs gives.
 func Generate(cfg Config) *Trace {
 	cfg = cfg.Normalized()
 	catalog := NewCatalog(cfg.Sites, cfg.Apps)
 	trace := &Trace{Catalog: catalog, Year: cfg.Year}
+	var reqRuns [][]Request
+	var impRuns [][]ImpressionTruth
 	err := GenerateStream(cfg, catalog, func(ut UserTrace) error {
 		trace.Users = append(trace.Users, ut.User)
-		trace.Requests = append(trace.Requests, ut.Requests...)
-		trace.Impressions = append(trace.Impressions, ut.Impressions...)
+		reqRuns = append(reqRuns, ut.Requests)
+		impRuns = append(impRuns, ut.Impressions)
 		trace.Symbols = ut.Symbols
 		return nil
 	})
@@ -134,16 +139,69 @@ func Generate(cfg Config) *Trace {
 		// downstream stage a silently empty trace.
 		panic("weblog: " + err.Error())
 	}
-	// Each user's records arrive pre-sorted, so the stable global sort
-	// keeps generation order within a user on ties, and users keep their
-	// relative id order across equal timestamps.
-	sort.SliceStable(trace.Requests, func(i, j int) bool {
-		return trace.Requests[i].Time.Before(trace.Requests[j].Time)
-	})
-	sort.SliceStable(trace.Impressions, func(i, j int) bool {
-		return trace.Impressions[i].Ctx.Time.Before(trace.Impressions[j].Ctx.Time)
-	})
+	trace.Requests = mergeByTime(reqRuns, func(r *Request) time.Time { return r.Time })
+	trace.Impressions = mergeByTime(impRuns, func(t *ImpressionTruth) time.Time { return t.Ctx.Time })
 	return trace
+}
+
+// mergeByTime k-way merges runs, each already stable-sorted by at, into
+// one slice allocated at their total length. A binary min-heap holds one
+// head per unexhausted run, keyed by (time, run index): on equal times
+// the lower run goes first, so the output equals a stable sort of the
+// runs' concatenation. It consumes runs: an entry is resliced past each
+// record taken and set to nil once exhausted, so its memory can be freed.
+func mergeByTime[T any](runs [][]T, at func(*T) time.Time) []T {
+	type head struct {
+		t   time.Time
+		run int
+	}
+	less := func(a, b *head) bool {
+		c := a.t.Compare(b.t)
+		return c < 0 || c == 0 && a.run < b.run
+	}
+	n := 0
+	h := make([]head, 0, len(runs))
+	for i, r := range runs {
+		if len(r) > 0 {
+			n += len(r)
+			h = append(h, head{at(&r[0]), i})
+		}
+	}
+	down := func(i int) {
+		for {
+			m := i
+			if l := 2*i + 1; l < len(h) && less(&h[l], &h[m]) {
+				m = l
+			}
+			if r := 2*i + 2; r < len(h) && less(&h[r], &h[m]) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := make([]T, 0, n)
+	for len(h) > 0 {
+		top := &h[0]
+		r := runs[top.run]
+		out = append(out, r[0])
+		if r = r[1:]; len(r) > 0 {
+			runs[top.run] = r
+			top.t = at(&r[0])
+		} else {
+			runs[top.run] = nil
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	return out
 }
 
 // UserTrace is one user's complete year of traffic as GenerateStream
@@ -173,7 +231,7 @@ type UserTrace struct {
 // Session keyed the same way for impressions — and the interned-symbol
 // vocabulary is frozen before generation starts. Each user's trace is
 // therefore derivable in isolation, and the emitted stream (hence
-// Generate's sorted batch trace) is bit-identical for a given
+// Generate's merged batch trace) is bit-identical for a given
 // (seed, scenario) at ANY Config.Workers count. internal/weblog's
 // parallel determinism test pins this under -race.
 func GenerateStream(cfg Config, cat *Catalog, yield func(UserTrace) error) error {
@@ -225,11 +283,11 @@ func GenerateStream(cfg Config, cat *Catalog, yield func(UserTrace) error) error
 				fmt.Sprintf("u%04d-", u.ID)),
 		}
 		g.user(u)
-		sort.SliceStable(g.reqs, func(i, j int) bool {
-			return g.reqs[i].Time.Before(g.reqs[j].Time)
+		slices.SortStableFunc(g.reqs, func(a, b Request) int {
+			return a.Time.Compare(b.Time)
 		})
-		sort.SliceStable(g.imps, func(i, j int) bool {
-			return g.imps[i].Ctx.Time.Before(g.imps[j].Ctx.Time)
+		slices.SortStableFunc(g.imps, func(a, b ImpressionTruth) int {
+			return a.Ctx.Time.Compare(b.Ctx.Time)
 		})
 		return UserTrace{User: *u, Requests: g.reqs, Impressions: g.imps, Symbols: shared.syms}
 	}
