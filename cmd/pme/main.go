@@ -170,7 +170,7 @@ func main() {
 
 		ln, err := net.Listen("tcp", *listen)
 		exitOn(err)
-		hs = &http.Server{Handler: srv.Handler()}
+		hs = srv.HTTPServer()
 		go func() { _ = hs.Serve(ln) }()
 		logger.Info("listening (not ready until a model is published)",
 			"addr", ln.Addr().String(), "metrics", "/metrics", "ready", "/readyz")
@@ -267,7 +267,7 @@ func main() {
 
 	logger.Info("serving model",
 		"addr", *listen,
-		"routes", "GET /v1/model, GET /v2/model [ETag], POST /v2/contribute, POST /v2/estimate[/stream], GET /v2/stats, GET /metrics")
+		"routes", "GET /v2/model[/flat] [ETag], GET /v2/model/version, POST /v2/contribute, POST /v2/estimate[/stream], GET /v2/stats, GET /metrics")
 	<-ctx.Done()
 	shCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()

@@ -61,15 +61,6 @@ func (e *Estimator) EstimateUser(u *analyzer.UserSummary) Estimate {
 	}
 }
 
-// EstimateAll computes baseline estimates for every user in the result.
-func (e *Estimator) EstimateAll(res *analyzer.Result) map[int]Estimate {
-	out := make(map[int]Estimate, len(res.Users))
-	for id, u := range res.Users {
-		out[id] = e.EstimateUser(u)
-	}
-	return out
-}
-
 // EstimateImpression returns the baseline per-impression estimate: the
 // cleartext price if visible, otherwise the dataset mean.
 func (e *Estimator) EstimateImpression(imp analyzer.Impression) float64 {

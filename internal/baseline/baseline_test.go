@@ -35,12 +35,8 @@ func TestEstimatorFit(t *testing.T) {
 func TestEstimateUserAccounting(t *testing.T) {
 	_, res := analyzed(t, 72)
 	e := New(res)
-	all := e.EstimateAll(res)
-	if len(all) != len(res.Users) {
-		t.Fatalf("estimates for %d of %d users", len(all), len(res.Users))
-	}
-	for id, est := range all {
-		u := res.Users[id]
+	for id, u := range res.Users {
+		est := e.EstimateUser(u)
 		if est.UserID != id || est.EncryptedSeen != u.EncryptedCount {
 			t.Fatal("bookkeeping mismatch")
 		}

@@ -9,25 +9,11 @@ import (
 	"time"
 
 	"yourandvalue/internal/analyzer"
-	"yourandvalue/internal/geoip"
+	"yourandvalue/internal/detect"
 	"yourandvalue/internal/iab"
 	"yourandvalue/internal/nurl"
-	"yourandvalue/internal/trafficclass"
-	"yourandvalue/internal/useragent"
 	"yourandvalue/internal/weblog"
 )
-
-// ClientContext is the ambient state the YourAdValue extension knows about
-// its own user when a notification arrives: location, device fingerprint,
-// local time, and the page being browsed.
-type ClientContext struct {
-	City      geoip.City
-	Device    useragent.Device
-	Hour      int
-	Weekday   int
-	Category  iab.Category
-	Publisher string
-}
 
 // PriceEvent is one detected charge price, observed or estimated — what
 // the extension surfaces in its toolbar notifications (§3.3).
@@ -59,37 +45,22 @@ func (t Totals) TotalCorrectedCPM() float64 {
 	return t.CleartextCorrectedCPM + t.EncryptedCPM
 }
 
-// Client is the YourAdValue user-side engine: it watches a single user's
-// request stream, filters nURLs, tallies cleartext prices directly, and
-// estimates encrypted ones locally with the PME model — no browsing data
-// leaves the device (§3.3).
+// Client is the YourAdValue user-side engine: it watches its user's
+// request stream through the same detection step the analyzer folds
+// (detect.Engine), tallies cleartext prices directly, and estimates
+// encrypted ones locally with the PME model — no browsing data leaves
+// the device (§3.3).
 type Client struct {
-	Registry   *nurl.Registry
-	Classifier *trafficclass.Classifier
-	GeoDB      *geoip.DB
-	Directory  *iab.Directory
-	Model      *Model
-
-	totals   Totals
-	events   []PriceEvent
-	lastPage string
-	vec      []float64    // reused encode scratch for estimates
-	parser   *nurl.Parser // persistent span parser over Registry
+	model  *Model
+	eng    *detect.Engine
+	totals Totals
+	events []PriceEvent
+	vec    []float64 // reused encode scratch for estimates
 }
 
 // NewClient builds a client around a trained model. dir may be nil.
 func NewClient(model *Model, dir *iab.Directory) *Client {
-	if dir == nil {
-		dir = iab.NewDirectory(nil)
-	}
-	c := &Client{
-		Registry:   nurl.Default(),
-		Classifier: trafficclass.DefaultClassifier(),
-		GeoDB:      geoip.Default(),
-		Directory:  dir,
-		Model:      model,
-	}
-	c.parser = nurl.NewParser(c.Registry)
+	c := &Client{model: model, eng: detect.NewEngine(detect.Config{Directory: dir})}
 	if model != nil {
 		c.vec = make([]float64, model.Features.Dim())
 	}
@@ -99,22 +70,12 @@ func NewClient(model *Model, dir *iab.Directory) *Client {
 // Process inspects one request from the user's own traffic. It returns
 // the resulting price event when the request was a price notification.
 func (c *Client) Process(r weblog.Request) (PriceEvent, bool) {
-	class := c.Classifier.Classify(r.Host)
-	if class == trafficclass.Rest {
-		c.lastPage = r.Host
+	em := c.eng.Step(r.Detect())
+	if !em.Detected {
 		return PriceEvent{}, false
 	}
-	if class != trafficclass.Advertising {
-		return PriceEvent{}, false
-	}
-	if c.parser == nil {
-		// Zero-value Clients (no NewClient) still work, just lazily.
-		c.parser = nurl.NewParser(c.Registry)
-	}
-	n, ok := c.parser.Parse(r.URL)
-	if !ok {
-		return PriceEvent{}, false
-	}
+	imp := em.Impression
+	n := imp.Notification
 	// The event history outlives the request: clone the DSP so the
 	// retained event does not pin the whole notification URL the parsed
 	// fields alias (ADX is a registry literal, never a URL substring).
@@ -127,20 +88,9 @@ func (c *Client) Process(r weblog.Request) (PriceEvent, bool) {
 		c.totals.CleartextCount++
 	case nurl.Encrypted:
 		ev.Encrypted = true
-		if c.Model != nil {
-			ctx := ClientContext{
-				City:      c.GeoDB.LookupString(r.ClientIP),
-				Device:    useragent.Parse(r.UserAgent),
-				Hour:      r.Time.Hour(),
-				Weekday:   int(r.Time.Weekday()),
-				Publisher: c.lastPage,
-				Category:  c.Directory.Lookup(c.lastPage),
-			}
-			if c.vec == nil {
-				c.vec = make([]float64, c.Model.Features.Dim())
-			}
-			c.Model.Features.EncodeNotificationInto(c.vec, n, ctx)
-			ev.CPM = c.Model.EstimateCPM(c.vec)
+		if c.model != nil {
+			c.model.Features.EncodeImpressionInto(c.vec, imp)
+			ev.CPM = c.model.EstimateCPM(c.vec)
 		}
 		c.totals.EncryptedCPM += ev.CPM
 		c.totals.EncryptedCount++
@@ -152,10 +102,10 @@ func (c *Client) Process(r weblog.Request) (PriceEvent, bool) {
 }
 
 func (c *Client) timeShift() float64 {
-	if c.Model == nil || c.Model.TimeShift <= 0 {
+	if c.model == nil || c.model.TimeShift <= 0 {
 		return 1
 	}
-	return c.Model.TimeShift
+	return c.model.TimeShift
 }
 
 // Totals returns the running cost decomposition.

@@ -16,8 +16,8 @@ import (
 // metadata — the parts that are genuinely tabular) followed by the flat
 // forest's 16-byte-per-node binary sections. Clients that fetch it
 // evaluate the flat engine directly; they never materialize pointer
-// nodes. JSON stays the compatibility format on /v1/model and
-// /v2/model; this blob is served alongside it under the same ETag.
+// nodes. JSON stays the format of /v2/model; this blob is served
+// alongside it on /v2/model/flat under the same ETag.
 //
 // Layout (little-endian):
 //

@@ -11,8 +11,6 @@ import (
 	"yourandvalue/internal/analyzer"
 	"yourandvalue/internal/campaign"
 	"yourandvalue/internal/detect"
-	"yourandvalue/internal/nurl"
-	"yourandvalue/internal/rtb"
 )
 
 // SFeatures is the reduced feature space S ⊆ F selected in §5.1:
@@ -26,9 +24,9 @@ import (
 // variant overfits and the production model excludes it.
 //
 // The layout and every encode path are owned by the shared
-// detect.Encoder, so training (FromRecord), analysis (FromImpression),
-// live clients (FromNotification) and the /v2/estimate path
-// (FromStrings) share the exact vector positions by construction.
+// detect.Encoder, so training (FromRecord), analysis and the on-device
+// client (FromImpression, EncodeImpressionInto) and the /v2/estimate
+// path (FromStrings) share the exact vector positions by construction.
 type SFeatures struct {
 	Names   []string `json:"names"`
 	enc     *detect.Encoder
@@ -100,35 +98,10 @@ func (s *SFeatures) EncodeImpressionInto(dst []float64, imp analyzer.Impression)
 	s.encoder().EncodeInto(dst, imp)
 }
 
-// FromNotification encodes directly from a parsed nURL plus the ambient
-// client context — the path the YourAdValue extension uses in real time,
-// where no analyzer result exists.
-func (s *SFeatures) FromNotification(n nurl.Notification, ctx ClientContext) []float64 {
-	v := make([]float64, s.Dim())
-	s.EncodeNotificationInto(v, n, ctx)
-	return v
-}
-
-// EncodeNotificationInto is FromNotification over a caller-owned buffer.
-func (s *SFeatures) EncodeNotificationInto(dst []float64, n nurl.Notification, ctx ClientContext) {
-	s.encoder().EncodeSampleInto(dst, detect.Sample{
-		City:      ctx.City,
-		Origin:    ctx.Device.Origin,
-		Device:    ctx.Device.Type,
-		OS:        ctx.Device.OS,
-		Hour:      ctx.Hour,
-		Weekday:   ctx.Weekday,
-		Slot:      rtb.Slot{W: n.Width, H: n.Height},
-		Category:  ctx.Category,
-		ADX:       n.ADX,
-		Publisher: ctx.Publisher,
-	})
-}
-
 // StringContext is the string-typed ambient context a thin client ships
-// to the PME's batch estimation endpoint (/v2/estimate), where neither an
-// analyzer impression nor a typed ClientContext exists. Unknown values
-// simply leave their one-hot positions zero.
+// to the PME's batch estimation endpoint (/v2/estimate), where no
+// detected impression exists. Unknown values simply leave their one-hot
+// positions zero.
 type StringContext = detect.StringContext
 
 // FromStrings encodes a thin-client context into the S vector.

@@ -144,42 +144,39 @@ func TestParseSlot(t *testing.T) {
 	}
 }
 
-// TestForgetUserEvictsCaches pins the bounded-memory contract: at a
-// user boundary the engine releases not just attribution state but the
-// address/agent cache entries the user warmed, for both the
-// symbol-keyed and the string-keyed paths.
-func TestForgetUserEvictsCaches(t *testing.T) {
+// TestSwitchEvictsCaches pins the bounded-memory contract: a user who
+// switches address or agent evicts the displaced cache entry, so the
+// address and agent caches hold at most one address and two agents per
+// user, on both the symbol-keyed and the string-keyed paths.
+func TestSwitchEvictsCaches(t *testing.T) {
 	eng := NewEngine(Config{})
-	interned := Record{
-		UserID: 1, Host: "elpais.es", URL: "http://elpais.es/",
-		UserAgent: "Mozilla/5.0 (Linux; Android 6.0) Mobile",
-		ClientIP:  geoip.AddrFor(geoip.Madrid, 1),
-		HostSym:   1, AgentSym: 1, AddrSym: 1,
+	agents := []string{
+		"Mozilla/5.0 (Linux; Android 6.0) Mobile",
+		"Mozilla/5.0 (iPhone; CPU iPhone OS 9_0 like Mac OS X)",
+		"Mozilla/5.0 (Windows NT 10.0; Win64; x64)",
 	}
-	plain := Record{
-		UserID: 2, Host: "elmundo.es", URL: "http://elmundo.es/",
-		UserAgent: "Mozilla/5.0 (iPhone; CPU iPhone OS 9_0 like Mac OS X)",
-		ClientIP:  geoip.AddrFor(geoip.Barcelona, 2),
+	cities := []geoip.City{geoip.Madrid, geoip.Barcelona, geoip.Madrid}
+	for i, ua := range agents {
+		interned := Record{
+			UserID: 1, Host: "elpais.es", URL: "http://elpais.es/",
+			UserAgent: ua, ClientIP: geoip.AddrFor(cities[i], uint16(i)),
+			HostSym: 1, AgentSym: Sym(i + 1), AddrSym: Sym(i + 1),
+		}
+		plain := Record{
+			UserID: 2, Host: "elmundo.es", URL: "http://elmundo.es/",
+			UserAgent: ua, ClientIP: geoip.AddrFor(cities[i], uint16(10+i)),
+		}
+		for _, rec := range []Record{interned, plain} {
+			// Page views skip UA parsing, so warm the device cache too.
+			eng.device(rec.UserAgent, rec.AgentSym, eng.user(rec.UserID))
+			if em := eng.Step(rec); em.City != cities[i] {
+				t.Fatalf("step %d: city %v, want %v", i, em.City, cities[i])
+			}
+		}
 	}
-	eng.Step(interned)
-	// Force the device caches warm too (page views skip UA parsing).
-	eng.device(interned.UserAgent, interned.AgentSym, eng.user(interned.UserID))
-	eng.device(plain.UserAgent, plain.AgentSym, eng.user(plain.UserID))
-	eng.Step(plain)
 	if len(eng.addrsBySym) != 1 || len(eng.addrsByIP) != 1 ||
-		len(eng.agentsBySym) != 1 || len(eng.agentsByUA) != 1 || len(eng.users) != 2 {
-		t.Fatalf("unexpected warm cache shape: %d/%d addrs, %d/%d agents, %d users",
-			len(eng.addrsBySym), len(eng.addrsByIP), len(eng.agentsBySym), len(eng.agentsByUA), len(eng.users))
-	}
-	eng.ForgetUser(1)
-	eng.ForgetUser(2)
-	if len(eng.addrsBySym) != 0 || len(eng.addrsByIP) != 0 ||
-		len(eng.agentsBySym) != 0 || len(eng.agentsByUA) != 0 || len(eng.users) != 0 {
-		t.Fatalf("caches not evicted: %d/%d addrs, %d/%d agents, %d users",
-			len(eng.addrsBySym), len(eng.addrsByIP), len(eng.agentsBySym), len(eng.agentsByUA), len(eng.users))
-	}
-	// Eviction must not change results: the next step recomputes.
-	if em := eng.Step(interned); em.City != geoip.Madrid {
-		t.Fatalf("post-eviction recompute diverged: %+v", em)
+		len(eng.agentsBySym) != 2 || len(eng.agentsByUA) != 2 {
+		t.Fatalf("caches not bounded: %d/%d addrs, %d/%d agents; want 1/1 and 2/2",
+			len(eng.addrsBySym), len(eng.addrsByIP), len(eng.agentsBySym), len(eng.agentsByUA))
 	}
 }

@@ -90,9 +90,9 @@ type page struct {
 	sym  Sym
 }
 
-// userState is everything the engine remembers about one live user:
-// the attribution page plus the address/agent cache keys the user
-// warmed, so ForgetUser can release those cache entries. Two slots
+// userState is everything the engine remembers about one user: the
+// attribution page plus the address/agent cache keys the user warmed,
+// so a switch of address or agent evicts the displaced entry. Two slots
 // cover a user's agents (mobile-web and in-app UA); eviction is
 // best-effort — a shared entry another user still needs is simply
 // recomputed on its next use.
@@ -114,9 +114,9 @@ type userState struct {
 //
 // Hosts have a bounded vocabulary and live in dense symbol-indexed
 // slices; addresses and agents scale with the population, so their
-// caches are maps that ForgetUser evicts at user boundaries — a
-// streamed population of millions keeps the engine's memory
-// proportional to the live users, not the whole stream.
+// caches are maps from which a user's displaced address or agent is
+// evicted when the user switches, holding at most one address and two
+// agents per user.
 type Engine struct {
 	registry   *nurl.Registry
 	classifier *trafficclass.Classifier
@@ -203,9 +203,9 @@ func (e *Engine) Class(host string) trafficclass.Class {
 }
 
 // city returns the (cached) reverse-geocoded city of a client address,
-// recording the cache key on the user so ForgetUser can evict it. A
-// user switching addresses evicts the displaced entry immediately, so
-// tracking one key per user never leaks the earlier ones.
+// recording the cache key on the user. A user switching addresses
+// evicts the displaced entry immediately, so tracking one key per user
+// never leaks the earlier ones.
 func (e *Engine) city(ip string, sym Sym, us *userState) geoip.City {
 	if sym > 0 {
 		if us.addrSym != sym {
@@ -333,33 +333,4 @@ func (e *Engine) Step(rec Record) Emission {
 		}
 	}
 	return em
-}
-
-// ForgetUser releases the user's attribution state and evicts the
-// address/agent cache entries the user warmed, so unbounded populations
-// streamed user-by-user keep the engine's memory proportional to the
-// live users. Evicting a shared entry is safe: the next user of it
-// simply recomputes the lookup.
-func (e *Engine) ForgetUser(userID int) {
-	us := e.users[userID]
-	if us == nil {
-		return
-	}
-	if us.addrSym != None {
-		delete(e.addrsBySym, us.addrSym)
-	}
-	if us.addrKey != "" {
-		delete(e.addrsByIP, us.addrKey)
-	}
-	for _, sym := range us.agentSyms {
-		if sym != None {
-			delete(e.agentsBySym, sym)
-		}
-	}
-	for _, key := range us.agentKeys {
-		if key != "" {
-			delete(e.agentsByUA, key)
-		}
-	}
-	delete(e.users, userID)
 }

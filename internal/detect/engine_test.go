@@ -109,10 +109,11 @@ func TestEngineStringFallback(t *testing.T) {
 	if em2 := eng.Step(notif); em2.Impression != imp {
 		t.Fatal("warm step diverged from cold step")
 	}
-	eng.ForgetUser(3)
-	if em3 := eng.Step(notif); em3.Impression.Publisher != "" {
-		// After ForgetUser the attribution is gone; with no nURL-carried
-		// publisher the impression must fall back to empty.
-		t.Fatalf("attribution survived ForgetUser: %+v", em3.Impression)
+	// Attribution is per user: another user with no page view and no
+	// nURL-carried publisher falls back to empty.
+	other := notif
+	other.UserID = 4
+	if em3 := eng.Step(other); em3.Impression.Publisher != "" {
+		t.Fatalf("attribution leaked across users: %+v", em3.Impression)
 	}
 }

@@ -289,44 +289,6 @@ func TestVarianceFilter(t *testing.T) {
 	}
 }
 
-func TestCorrelationFilter(t *testing.T) {
-	rng := stats.NewRand(62)
-	X := make([][]float64, 300)
-	for i := range X {
-		a := rng.Float64()
-		X[i] = []float64{a, a * 2, rng.Float64(), -a}
-	}
-	keep := CorrelationFilter(X, []int{0, 1, 2, 3}, 0.95)
-	kept := map[int]bool{}
-	for _, f := range keep {
-		kept[f] = true
-	}
-	if !kept[0] || !kept[2] {
-		t.Errorf("independent features dropped: %v", keep)
-	}
-	if kept[1] || kept[3] {
-		t.Errorf("perfectly correlated features kept: %v", keep)
-	}
-	if CorrelationFilter(nil, []int{0}, 0.9) != nil {
-		t.Error("empty input")
-	}
-}
-
-func TestPearson(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	if r := pearson(a, a); math.Abs(r-1) > 1e-12 {
-		t.Errorf("self correlation %v", r)
-	}
-	b := []float64{4, 3, 2, 1}
-	if r := pearson(a, b); math.Abs(r+1) > 1e-12 {
-		t.Errorf("anti correlation %v", r)
-	}
-	c := []float64{5, 5, 5, 5}
-	if r := pearson(a, c); r != 0 {
-		t.Errorf("constant correlation %v", r)
-	}
-}
-
 func TestSelectColumns(t *testing.T) {
 	X := [][]float64{{1, 2, 3}, {4, 5, 6}}
 	out := SelectColumns(X, []int{2, 0})

@@ -2,7 +2,6 @@ package mlkit
 
 import (
 	"errors"
-	"math"
 	"sort"
 )
 
@@ -26,10 +25,9 @@ type Binner struct {
 var ErrBadBinning = errors.New("mlkit: invalid binning parameters")
 
 // NewBinner builds a k-class maximum-entropy (balanced) discretization of
-// values. Values are not log-transformed here; pass LogTransform output if
-// log-domain splitting is wanted (class membership is invariant to any
-// monotone transform, so splitting raw prices at the corresponding
-// quantiles is equivalent).
+// values. Values are not log-transformed here: class membership is
+// invariant to any monotone transform, so splitting raw prices at the
+// quantiles is equivalent to splitting the §5.1 log-transformed ones.
 func NewBinner(values []float64, k int) (*Binner, error) {
 	if k < 2 || len(values) < k {
 		return nil, ErrBadBinning
@@ -126,28 +124,4 @@ func (b *Binner) representatives(sorted []float64) []float64 {
 		}
 	}
 	return reps
-}
-
-// ClassEntropy returns the empirical entropy (nats) of the class
-// distribution the binner induces on values — the quantity the paper's
-// leave-one-out split search maximizes. A perfectly balanced k-way split
-// scores ln(k).
-func (b *Binner) ClassEntropy(values []float64) float64 {
-	counts := make([]int, b.Classes())
-	for _, v := range values {
-		counts[b.Class(v)]++
-	}
-	h := 0.0
-	n := float64(len(values))
-	if n == 0 {
-		return 0
-	}
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / n
-		h -= p * math.Log(p)
-	}
-	return h
 }

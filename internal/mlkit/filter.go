@@ -47,63 +47,6 @@ func VarianceFilter(X [][]float64, q float64) []int {
 	return keep
 }
 
-// CorrelationFilter greedily drops the later feature of every pair with
-// |Pearson r| above threshold, returning surviving indices. This is the
-// §5.1 fallback "high correlation filters that do not require a target
-// variable, to eliminate features carrying similar information".
-func CorrelationFilter(X [][]float64, features []int, threshold float64) []int {
-	if len(X) == 0 || len(features) == 0 {
-		return nil
-	}
-	cols := make(map[int][]float64, len(features))
-	for _, f := range features {
-		col := make([]float64, len(X))
-		for i := range X {
-			col[i] = X[i][f]
-		}
-		cols[f] = col
-	}
-	var keep []int
-	for _, f := range features {
-		redundant := false
-		for _, g := range keep {
-			if math.Abs(pearson(cols[f], cols[g])) > threshold {
-				redundant = true
-				break
-			}
-		}
-		if !redundant {
-			keep = append(keep, f)
-		}
-	}
-	return keep
-}
-
-// pearson computes the correlation coefficient; constant columns yield 0.
-func pearson(a, b []float64) float64 {
-	n := float64(len(a))
-	if n == 0 || len(a) != len(b) {
-		return 0
-	}
-	var sa, sb float64
-	for i := range a {
-		sa += a[i]
-		sb += b[i]
-	}
-	ma, mb := sa/n, sb/n
-	var cov, va, vb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	if va == 0 || vb == 0 {
-		return 0
-	}
-	return cov / math.Sqrt(va*vb)
-}
-
 // SelectColumns projects X onto the given feature indices.
 func SelectColumns(X [][]float64, features []int) [][]float64 {
 	out := make([][]float64, len(X))

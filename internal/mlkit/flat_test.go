@@ -245,7 +245,7 @@ func FuzzFlatPredictInto(f *testing.F) {
 
 func TestFlatTreeEquivalence(t *testing.T) {
 	X, y := noisyData(400, 51)
-	tr, err := TrainTree(X, y, 3, TreeConfig{MaxDepth: 8, Seed: 52})
+	tr, err := trainTree(X, y, 3, TreeConfig{MaxDepth: 8, Seed: 52})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,34 +224,6 @@ func (f *Forest) Importance() []float64 {
 	return normalizeImportance(f.importance)
 }
 
-// TopFeatures returns the indices of the k most important features,
-// descending (ties break on index for determinism).
-func (f *Forest) TopFeatures(k int) []int {
-	return topIndices(f.Importance(), k)
-}
-
-func topIndices(scores []float64, k int) []int {
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	// selection of top k by partial sort
-	for i := 0; i < len(idx) && i < k; i++ {
-		best := i
-		for j := i + 1; j < len(idx); j++ {
-			si, sj := scores[idx[j]], scores[idx[best]]
-			if si > sj || (si == sj && idx[j] < idx[best]) {
-				best = j
-			}
-		}
-		idx[i], idx[best] = idx[best], idx[i]
-	}
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
-}
-
 // RepresentativeTree returns the single ensemble member whose training
 // behaviour best matches the forest (highest agreement with forest votes
 // on the provided sample; ties go to the earlier tree) — the portable

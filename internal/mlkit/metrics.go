@@ -227,19 +227,6 @@ type Report struct {
 	Confusion *Confusion
 }
 
-// Evaluate scores a classifier (via predict and proba callbacks) on a
-// test set and assembles the paper's metric bundle.
-func Evaluate(X [][]float64, y []int, classes int,
-	predict func([]float64) int, proba func([]float64) []float64) Report {
-	cm := NewConfusion(classes)
-	probs := make([][]float64, len(X))
-	for i, x := range X {
-		cm.Add(y[i], predict(x))
-		probs[i] = proba(x)
-	}
-	return assembleReport(cm, probs, y, classes)
-}
-
 func assembleReport(cm *Confusion, probs [][]float64, y []int, classes int) Report {
 	return Report{
 		Accuracy:  cm.Accuracy(),

@@ -232,7 +232,7 @@ func refRepresentativeTree(f *Forest, X [][]float64) *Tree {
 	return best
 }
 
-// refTrainTree is TrainTree without input validation (callers pass
+// refTrainTree is trainTree without input validation (callers pass
 // well-formed data).
 func refTrainTree(X [][]float64, y []int, classes int, cfg TreeConfig) *Tree {
 	cfg = cfg.withDefaults()
@@ -478,7 +478,7 @@ var refTreeConfigs = []TreeConfig{
 func TestTreeMatchesReference(t *testing.T) {
 	for _, c := range refCases() {
 		for ci, cfg := range refTreeConfigs {
-			got, err := TrainTree(c.X, c.y, c.classes, cfg)
+			got, err := trainTree(c.X, c.y, c.classes, cfg)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", c.name, ci, err)
 			}

@@ -1,7 +1,6 @@
 package mlkit
 
 import (
-	"math"
 	"sort"
 
 	"yourandvalue/internal/stats"
@@ -159,17 +158,4 @@ func (t *RegressionTree) Predict(x []float64) float64 {
 		return 0
 	}
 	return n.Value
-}
-
-// RMSE scores the tree on a labelled set.
-func (t *RegressionTree) RMSE(X [][]float64, y []float64) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	sse := 0.0
-	for i, x := range X {
-		d := t.Predict(x) - y[i]
-		sse += d * d
-	}
-	return math.Sqrt(sse / float64(len(X)))
 }

@@ -72,27 +72,12 @@ type Tree struct {
 // ErrBadTrainingData reports shape problems and NaN features.
 var ErrBadTrainingData = errors.New("mlkit: invalid training data")
 
-// TrainTree induces a CART classifier on X (n×d) with integer class
-// labels y in [0, classes). Features must not be NaN.
-func TrainTree(X [][]float64, y []int, classes int, cfg TreeConfig) (*Tree, error) {
-	cols, err := newColumns(X, y, classes)
-	if err != nil {
-		return nil, err
-	}
-	w := make([]int32, len(X))
-	for i := range w {
-		w[i] = 1
-	}
-	cfg = cfg.withDefaults()
-	return newTreeBuilder(cols, cfg).grow(w, cfg.Seed), nil
-}
-
 // columns is a training matrix laid out for split search: per feature,
 // its distinct values in ascending order (dict) and each row's index
 // into them (rank), column-major. A node's class counts per value and
 // its candidate thresholds then come from one pass over its rows' ranks,
-// with no float gathering or sorting per node. Built once per TrainTree
-// or TrainForest and shared read-only by every tree.
+// with no float gathering or sorting per node. Built once per
+// TrainForest and shared read-only by every tree.
 type columns struct {
 	dict     [][]float64
 	rank     [][]int32
@@ -497,17 +482,6 @@ func normalizeImportance(raw []float64) []float64 {
 	}
 	for i, v := range raw {
 		out[i] = v / total
-	}
-	return out
-}
-
-// LogTransform returns ln(1+x) per element, the §5.1 normalization applied
-// to charge prices before clustering ("we applied a log transformation on
-// the extracted cleartext prices").
-func LogTransform(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = math.Log1p(x)
 	}
 	return out
 }

@@ -8,6 +8,21 @@ import (
 	"yourandvalue/internal/stats"
 )
 
+// trainTree induces one CART classifier over every row on X (n×d) with integer class
+// labels y in [0, classes). Features must not be NaN.
+func trainTree(X [][]float64, y []int, classes int, cfg TreeConfig) (*Tree, error) {
+	cols, err := newColumns(X, y, classes)
+	if err != nil {
+		return nil, err
+	}
+	w := make([]int32, len(X))
+	for i := range w {
+		w[i] = 1
+	}
+	cfg = cfg.withDefaults()
+	return newTreeBuilder(cols, cfg).grow(w, cfg.Seed), nil
+}
+
 // axisData builds a trivially separable 2-class problem: class = x0 > 0.5.
 func axisData(n int, seed int64) ([][]float64, []int) {
 	rng := stats.NewRand(seed)
@@ -24,7 +39,7 @@ func axisData(n int, seed int64) ([][]float64, []int) {
 
 func TestTreeLearnsAxisSplit(t *testing.T) {
 	X, y := axisData(400, 1)
-	tree, err := TrainTree(X, y, 2, TreeConfig{MaxDepth: 4})
+	tree, err := trainTree(X, y, 2, TreeConfig{MaxDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +75,7 @@ func TestTreeLearnsXOR(t *testing.T) {
 			y = append(y, 0)
 		}
 	}
-	tree, err := TrainTree(X, y, 2, TreeConfig{MaxDepth: 6})
+	tree, err := trainTree(X, y, 2, TreeConfig{MaxDepth: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,25 +91,25 @@ func TestTreeLearnsXOR(t *testing.T) {
 }
 
 func TestTreeValidation(t *testing.T) {
-	if _, err := TrainTree(nil, nil, 2, TreeConfig{}); err != ErrBadTrainingData {
+	if _, err := trainTree(nil, nil, 2, TreeConfig{}); err != ErrBadTrainingData {
 		t.Error("empty data accepted")
 	}
-	if _, err := TrainTree([][]float64{{1}}, []int{0}, 1, TreeConfig{}); err != ErrBadTrainingData {
+	if _, err := trainTree([][]float64{{1}}, []int{0}, 1, TreeConfig{}); err != ErrBadTrainingData {
 		t.Error("single class accepted")
 	}
-	if _, err := TrainTree([][]float64{{1}, {2}}, []int{0}, 2, TreeConfig{}); err != ErrBadTrainingData {
+	if _, err := trainTree([][]float64{{1}, {2}}, []int{0}, 2, TreeConfig{}); err != ErrBadTrainingData {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := TrainTree([][]float64{{1}, {2, 3}}, []int{0, 1}, 2, TreeConfig{}); err != ErrBadTrainingData {
+	if _, err := trainTree([][]float64{{1}, {2, 3}}, []int{0, 1}, 2, TreeConfig{}); err != ErrBadTrainingData {
 		t.Error("ragged rows accepted")
 	}
-	if _, err := TrainTree([][]float64{{1}, {2}}, []int{0, 5}, 2, TreeConfig{}); err != ErrBadTrainingData {
+	if _, err := trainTree([][]float64{{1}, {2}}, []int{0, 5}, 2, TreeConfig{}); err != ErrBadTrainingData {
 		t.Error("out-of-range label accepted")
 	}
-	if _, err := TrainTree([][]float64{{1}, {2}}, []int{-1, 0}, 2, TreeConfig{}); err != ErrBadTrainingData {
+	if _, err := trainTree([][]float64{{1}, {2}}, []int{-1, 0}, 2, TreeConfig{}); err != ErrBadTrainingData {
 		t.Error("negative label accepted")
 	}
-	if _, err := TrainTree([][]float64{{1, 0}, {math.NaN(), 1}}, []int{0, 1}, 2, TreeConfig{}); err != ErrBadTrainingData {
+	if _, err := trainTree([][]float64{{1, 0}, {math.NaN(), 1}}, []int{0, 1}, 2, TreeConfig{}); err != ErrBadTrainingData {
 		t.Error("NaN feature accepted")
 	}
 }
@@ -103,7 +118,7 @@ func TestTreePureLeaf(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}}
 	y := []int{1, 1, 1}
 	// All one class is legal as long as classes ≥ 2 declared.
-	tree, err := TrainTree(X, y, 2, TreeConfig{})
+	tree, err := trainTree(X, y, 2, TreeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +136,7 @@ func TestTreePureLeaf(t *testing.T) {
 
 func TestTreeMinLeafRespected(t *testing.T) {
 	X, y := axisData(100, 5)
-	tree, err := TrainTree(X, y, 2, TreeConfig{MinLeaf: 20, MaxDepth: 10})
+	tree, err := trainTree(X, y, 2, TreeConfig{MinLeaf: 20, MaxDepth: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +163,7 @@ func TestTreeMinLeafRespected(t *testing.T) {
 
 func TestTreeImportance(t *testing.T) {
 	X, y := axisData(500, 7)
-	tree, err := TrainTree(X, y, 2, TreeConfig{MaxDepth: 5})
+	tree, err := trainTree(X, y, 2, TreeConfig{MaxDepth: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +185,7 @@ func TestTreeImportance(t *testing.T) {
 
 func TestTreeJSONRoundTrip(t *testing.T) {
 	X, y := axisData(200, 9)
-	tree, _ := TrainTree(X, y, 2, TreeConfig{MaxDepth: 4})
+	tree, _ := trainTree(X, y, 2, TreeConfig{MaxDepth: 4})
 	blob, err := json.Marshal(tree)
 	if err != nil {
 		t.Fatal(err)
@@ -184,13 +199,6 @@ func TestTreeJSONRoundTrip(t *testing.T) {
 			t.Fatalf("prediction diverged after serialization at row %d", i)
 		}
 		_ = i
-	}
-}
-
-func TestLogTransform(t *testing.T) {
-	out := LogTransform([]float64{0, math.E - 1})
-	if out[0] != 0 || math.Abs(out[1]-1) > 1e-12 {
-		t.Errorf("log transform: %v", out)
 	}
 }
 

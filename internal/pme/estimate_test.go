@@ -320,11 +320,6 @@ func BenchmarkEstimateBatch(b *testing.B) {
 	}
 	items := flatItems(16)
 	ctx := context.Background()
-	// The model's cross-validation folds run in the background after
-	// Train; their allocations would land in the first sub-benchmark.
-	if _, err := m.CV.Wait(ctx); err != nil {
-		b.Fatal(err)
-	}
 	for _, conc := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("c%d", conc), func(b *testing.B) {
 			// One untimed call warms the session pool, so the first

@@ -37,6 +37,12 @@ func testModel(t testing.TB) *core.Model {
 		p.ForestSize = 10
 		p.CVFolds, p.CVRuns = 5, 1
 		model, modelErr = p.Train(rep.Records, core.TrainConfig{})
+		if modelErr != nil {
+			return
+		}
+		// Wait out the §5.4 folds here, so they do not run beside the
+		// next test or benchmark in the package.
+		_, modelErr = model.CV.Wait(context.Background())
 	})
 	if modelErr != nil {
 		t.Fatal(modelErr)

@@ -141,11 +141,9 @@ func instrument(ep *endpointMetrics, name string, observer func(RequestObservati
 	}
 }
 
-// rateLimit sheds requests beyond the server's token bucket with 429,
-// counting the shed on the endpoint's metrics. Frozen v1 routes get the
-// plain-text error body their contract promises; everything else gets
-// the structured v2 form.
-func rateLimit(b *tokenBucket, ep *endpointMetrics, plainText bool) middleware {
+// rateLimit sheds requests beyond the server's token bucket with a
+// structured 429, counting the shed on the endpoint's metrics.
+func rateLimit(b *tokenBucket, ep *endpointMetrics) middleware {
 	if b == nil {
 		return nil
 	}
@@ -154,10 +152,6 @@ func rateLimit(b *tokenBucket, ep *endpointMetrics, plainText bool) middleware {
 			if !b.allow(time.Now()) {
 				ep.rateLimited.Add(1)
 				w.Header().Set("Retry-After", "1")
-				if plainText {
-					http.Error(w, "rate limited", http.StatusTooManyRequests)
-					return
-				}
 				writeV2Error(w, http.StatusTooManyRequests, "rate_limited",
 					"request rate exceeds the server's limit")
 				return

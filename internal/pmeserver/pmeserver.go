@@ -21,7 +21,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"time"
 
 	"yourandvalue/internal/core"
@@ -284,13 +283,6 @@ func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 // chain request-log → metrics → rate-limit → handler, and every handler
 // body is a thin adapter over the pme.Service.
 //
-// v1 (stable, plain-text errors):
-//
-//	GET  /v1/model         → current model JSON (404 until one is set)
-//	GET  /v1/model/version → {"version": N}
-//	POST /v1/contribute    → accept a JSON array of Contributions
-//	GET  /healthz          → 200 ok
-//
 // v2 (context-aware clients, structured JSON errors — see v2.go):
 //
 //	GET  /v2/model           → model JSON with ETag; If-None-Match → 304
@@ -305,15 +297,13 @@ func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 // and probes must never perturb or be perturbed by the series they
 // read):
 //
+//	GET  /healthz      → 200 ok
 //	GET  /metrics      → Prometheus text exposition of the obs registry
 //	GET  /readyz       → 200 once a model snapshot is loaded, 503 before
 //	GET  /debug/trace  → NDJSON dump of recorded spans (404 when tracing is off)
 //	GET  /debug/pprof/ → net/http/pprof (only with WithPprof)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/v1/model", s.route("v1.model", s.handleModel))
-	mux.Handle("/v1/model/version", s.route("v1.version", s.handleVersion))
-	mux.Handle("/v1/contribute", s.route("v1.contribute", s.handleContribute))
 	mux.Handle("/v2/model", s.route("v2.model", s.handleModelV2))
 	mux.Handle("/v2/model/flat", s.route("v2.model_flat", s.handleModelFlatV2))
 	mux.Handle("/v2/model/version", s.route("v2.version", s.handleVersionV2))
@@ -371,11 +361,34 @@ func (s *Server) handleTraceDump(w http.ResponseWriter, r *http.Request) {
 	_ = s.tracer.WriteNDJSON(w)
 }
 
+// Connection limits of every listening PME. A client must finish its
+// request header within readHeaderTimeout (so a slow-header client
+// cannot hold a connection open), an idle keep-alive connection closes
+// after idleTimeout, and headers are capped at maxHeaderBytes. There is
+// deliberately no ReadTimeout or WriteTimeout: an NDJSON estimate stream
+// may run longer than any fixed bound.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// HTTPServer returns an http.Server for Handler with the connection
+// limits above; the caller owns its listener and shutdown.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // route composes the middleware chain for one named endpoint.
 func (s *Server) route(name string, h http.HandlerFunc) http.Handler {
 	ep := s.metrics.endpoint(name)
 	return chain(h,
-		rateLimit(s.limiter, ep, strings.HasPrefix(name, "v1.")),
+		rateLimit(s.limiter, ep),
 		instrument(ep, name, s.observer),
 		requestLog(s.logger, name),
 		traceExtract(s.tracer, name),

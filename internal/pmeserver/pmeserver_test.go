@@ -58,7 +58,7 @@ func TestModelDistributionRoundTrip(t *testing.T) {
 	defer ts.Close()
 
 	client := NewClient(ts.URL)
-	got, err := client.FetchModelContext(context.Background())
+	got, _, err := client.FetchModelV2(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +70,9 @@ func TestModelDistributionRoundTrip(t *testing.T) {
 	if got.EstimateCPM(probe) != m.EstimateCPM(probe) {
 		t.Error("fetched model predicts differently")
 	}
-	v, err := client.VersionContext(context.Background())
-	if err != nil || v != m.Version {
-		t.Errorf("version = %d, %v", v, err)
+	v, err := client.VersionV2(context.Background())
+	if err != nil || v.Version != m.Version {
+		t.Errorf("version = %d, %v", v.Version, err)
 	}
 }
 
@@ -85,17 +85,17 @@ func TestNoModel(t *testing.T) {
 	defer ts.Close()
 
 	client := NewClient(ts.URL)
-	if _, err := client.FetchModelContext(context.Background()); err == nil {
+	if _, _, err := client.FetchModelV2(context.Background(), ""); err == nil {
 		t.Error("fetch should fail before a model is set")
 	}
-	if _, err := client.VersionContext(context.Background()); err == nil {
+	if _, err := client.VersionV2(context.Background()); err == nil {
 		t.Error("version should fail before a model is set")
 	}
 	// And succeed after SetModel.
 	if err := srv.SetModel(testModel(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.FetchModelContext(context.Background()); err != nil {
+	if _, _, err := client.FetchModelV2(context.Background(), ""); err != nil {
 		t.Errorf("fetch after SetModel: %v", err)
 	}
 	if srv.Model() == nil {
@@ -116,12 +116,12 @@ func TestContribution(t *testing.T) {
 		{ADX: "MoPub", PriceCPM: 0},      // invalid: cleartext without price
 		{ADX: "MoPub", PriceCPM: 999999}, // invalid: implausible
 	}
-	accepted, err := client.ContributeContext(context.Background(), batch)
+	out, err := client.ContributeV2(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if accepted != 2 {
-		t.Errorf("accepted %d, want 2", accepted)
+	if out.Accepted != 2 || out.Invalid != 3 {
+		t.Errorf("counts %+v, want 2 accepted and 3 invalid", out)
 	}
 	pool := srv.Contributions()
 	if len(pool) != 2 {
@@ -141,7 +141,7 @@ func TestContributeBadPayload(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/contribute", "application/json",
+	resp, err := http.Post(ts.URL+"/v2/contribute", "application/json",
 		strings.NewReader("not json"))
 	if err != nil {
 		t.Fatal(err)
@@ -158,16 +158,16 @@ func TestMethodDiscipline(t *testing.T) {
 	defer ts.Close()
 
 	// POST to model endpoint rejected.
-	resp, _ := http.Post(ts.URL+"/v1/model", "application/json", strings.NewReader("{}"))
+	resp, _ := http.Post(ts.URL+"/v2/model", "application/json", strings.NewReader("{}"))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /v1/model status %d", resp.StatusCode)
+		t.Errorf("POST /v2/model status %d", resp.StatusCode)
 	}
 	// GET to contribute rejected.
-	resp, _ = http.Get(ts.URL + "/v1/contribute")
+	resp, _ = http.Get(ts.URL + "/v2/contribute")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/contribute status %d", resp.StatusCode)
+		t.Errorf("GET /v2/contribute status %d", resp.StatusCode)
 	}
 	// Health endpoint OK.
 	resp, _ = http.Get(ts.URL + "/healthz")
@@ -191,9 +191,9 @@ func TestConcurrentAccess(t *testing.T) {
 			for j := 0; j < 20; j++ {
 				switch i % 3 {
 				case 0:
-					_, _ = client.FetchModelContext(context.Background())
+					_, _, _ = client.FetchModelV2(context.Background(), "")
 				case 1:
-					_, _ = client.ContributeContext(context.Background(), []Contribution{
+					_, _ = client.ContributeV2(context.Background(), []Contribution{
 						{ADX: "MoPub", PriceCPM: 0.5},
 					})
 				default:

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -269,9 +271,9 @@ func TestMetricsMiddleware(t *testing.T) {
 	}
 }
 
-// TestV1ContextClients: the context-aware v1 client methods round-trip
-// against the v1 routes and honor cancellation.
-func TestV1ContextClients(t *testing.T) {
+// TestV2ContextClients: the v2 client methods round-trip against the
+// server and honor cancellation.
+func TestV2ContextClients(t *testing.T) {
 	srv, err := New(testModel(t))
 	if err != nil {
 		t.Fatal(err)
@@ -281,30 +283,66 @@ func TestV1ContextClients(t *testing.T) {
 	client := NewClient(ts.URL)
 	ctx := context.Background()
 
-	m, err := client.FetchModelContext(ctx)
+	m, etag, err := client.FetchModelV2(ctx, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := client.VersionContext(ctx)
-	if err != nil || v != m.Version {
-		t.Errorf("VersionContext = %d, %v; want %d", v, err, m.Version)
+	v, err := client.VersionV2(ctx)
+	if err != nil || v.Version != m.Version || v.ETag != etag {
+		t.Errorf("VersionV2 = %+v, %v; want version %d, etag %s", v, err, m.Version, etag)
 	}
-	accepted, err := client.ContributeContext(ctx, []Contribution{
+	out, err := client.ContributeV2(ctx, []Contribution{
 		{ADX: "MoPub", PriceCPM: 0.4},
 	})
-	if err != nil || accepted != 1 {
-		t.Errorf("ContributeContext = %d, %v", accepted, err)
+	if err != nil || out.Accepted != 1 {
+		t.Errorf("ContributeV2 = %+v, %v", out, err)
 	}
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := client.FetchModelContext(cancelled); !errors.Is(err, context.Canceled) {
-		t.Errorf("FetchModelContext on cancelled ctx: %v", err)
+	if _, _, err := client.FetchModelV2(cancelled, ""); !errors.Is(err, context.Canceled) {
+		t.Errorf("FetchModelV2 on cancelled ctx: %v", err)
 	}
-	if _, err := client.VersionContext(cancelled); !errors.Is(err, context.Canceled) {
-		t.Errorf("VersionContext on cancelled ctx: %v", err)
+	if _, err := client.VersionV2(cancelled); !errors.Is(err, context.Canceled) {
+		t.Errorf("VersionV2 on cancelled ctx: %v", err)
 	}
-	if _, err := client.ContributeContext(cancelled, []Contribution{{ADX: "X", PriceCPM: 1}}); !errors.Is(err, context.Canceled) {
-		t.Errorf("ContributeContext on cancelled ctx: %v", err)
+	if _, err := client.ContributeV2(cancelled, []Contribution{{ADX: "X", PriceCPM: 1}}); !errors.Is(err, context.Canceled) {
+		t.Errorf("ContributeV2 on cancelled ctx: %v", err)
+	}
+}
+
+// TestHTTPServerClosesSlowHeader: a client that sends half a request
+// header and stalls has its connection closed once readHeaderTimeout
+// passes, not held open.
+func TestHTTPServerClosesSlowHeader(t *testing.T) {
+	t.Parallel()
+	srv, err := New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := srv.HTTPServer()
+	go func() { _ = hs.Serve(ln) }()
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: pme\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 2 * time.Second
+	_ = conn.SetReadDeadline(start.Add(readHeaderTimeout + slack))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection still open after %v: %v", time.Since(start), err)
+	}
+	if elapsed := time.Since(start); elapsed < readHeaderTimeout-slack {
+		t.Fatalf("connection closed after %v, before the %v header timeout", elapsed, readHeaderTimeout)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"time"
 
 	"yourandvalue/internal/core"
 	"yourandvalue/internal/pme"
@@ -16,8 +18,7 @@ import (
 // conditional model fetch so extensions poll cheaply, batch and streaming
 // estimation endpoints so thin clients need not run the forest locally,
 // explicit accepted/dropped accounting on contributions, and structured
-// JSON errors throughout. /v1 routes are unchanged alongside it. Every
-// handler body is transport only — decode, delegate to the pme.Service,
+// JSON errors throughout. Every handler body is transport only — decode, delegate to the pme.Service,
 // encode.
 
 // apiError is the structured error body every /v2 endpoint returns.
@@ -226,7 +227,36 @@ func (s *Server) handleEstimateV2(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(*bp)
 }
 
-// --- v2 client methods ---
+// --- v2 client ---
+
+// Client is the extension-side PME connection. Every method takes a
+// context and speaks the ETag-aware v2 routes.
+type Client struct {
+	BaseURL string
+	HTTP    *http.Client
+}
+
+// NewClient returns a Client with a sane timeout.
+func NewClient(baseURL string) *Client {
+	return &Client{
+		BaseURL: baseURL,
+		HTTP:    &http.Client{Timeout: 10 * time.Second},
+	}
+}
+
+// readAll reads the body with a hard cap, protecting the client from a
+// misbehaving server.
+func readAll(r io.Reader, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	n, err := io.Copy(&buf, io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if n > limit {
+		return nil, errors.New("pmeserver: response exceeds limit")
+	}
+	return buf.Bytes(), nil
+}
 
 // ErrNotModified reports that the server's model still matches the ETag
 // the client presented — the cheap outcome of a §3.3 version poll.
@@ -346,7 +376,7 @@ func (c *Client) ContributeV2(ctx context.Context, batch []Contribution) (Contri
 		return ContributeResponse{}, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.BaseURL+"/v2/contribute", bytesReader(blob))
+		c.BaseURL+"/v2/contribute", bytes.NewReader(blob))
 	if err != nil {
 		return ContributeResponse{}, err
 	}
@@ -379,7 +409,7 @@ func (c *Client) EstimateV2(ctx context.Context, items []EstimateItem) (Estimate
 		return EstimateResponse{}, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.BaseURL+"/v2/estimate", bytesReader(blob))
+		c.BaseURL+"/v2/estimate", bytes.NewReader(blob))
 	if err != nil {
 		return EstimateResponse{}, err
 	}

@@ -187,43 +187,26 @@ func TestContributePoolOverflow(t *testing.T) {
 		t.Errorf("full-pool counts = %+v", out)
 	}
 
-	// v1 reports the same semantics: dropped count and a 507 status.
-	resp, err := http.Post(ts.URL+"/v1/contribute", "application/json",
+	// On the wire the full pool is a 507 that tells clients when to
+	// come back, with the same counts in the body.
+	resp, err := http.Post(ts.URL+"/v2/contribute", "application/json",
 		strings.NewReader(`[{"adx":"MoPub","price_cpm":0.5}]`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusInsufficientStorage {
-		t.Errorf("v1 full-pool status %d, want 507", resp.StatusCode)
+		t.Errorf("full-pool status %d, want 507", resp.StatusCode)
 	}
-	// Retry-After parity with v2: v1's 507 must tell clients when to
-	// come back (the body stays the frozen v1 accepted/dropped shape).
-	if got := resp.Header.Get("Retry-After"); got == "" {
-		t.Error("v1 507 missing Retry-After header")
-	} else if v2resp, err := http.Post(ts.URL+"/v2/contribute", "application/json",
-		strings.NewReader(`[{"adx":"MoPub","price_cpm":0.5}]`)); err != nil {
-		t.Fatal(err)
-	} else {
-		defer v2resp.Body.Close()
-		if want := v2resp.Header.Get("Retry-After"); got != want {
-			t.Errorf("v1 Retry-After = %q, v2 = %q; want parity", got, want)
-		}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("507 missing Retry-After header")
 	}
-	var v1 struct {
-		Accepted int `json:"accepted"`
-		Dropped  int `json:"dropped"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&v1); err != nil {
+	var body ContributeResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if v1.Accepted != 0 || v1.Dropped != 1 {
-		t.Errorf("v1 counts = %+v", v1)
-	}
-
-	// The v1 client surfaces the same condition as ErrPoolFull with counts.
-	if n, err := client.ContributeContext(context.Background(), mk(1)); !errors.Is(err, ErrPoolFull) || n != 0 {
-		t.Errorf("v1 client full-pool = (%d, %v), want (0, ErrPoolFull)", n, err)
+	if body.Accepted != 0 || body.Dropped != 1 {
+		t.Errorf("full-pool body = %+v", body)
 	}
 
 	if n := len(srv.Contributions()); n != 3 {

@@ -554,7 +554,7 @@ func StartFleet(storeURL string, n int, seed int64, opts ...pmeserver.Option) (*
 		if err != nil {
 			return fail(err)
 		}
-		hs := &http.Server{Handler: srv.Handler()}
+		hs := srv.HTTPServer()
 		go func() { _ = hs.Serve(ln) }()
 		shutdowns = append(shutdowns, func() {
 			shCtx, shCancel := context.WithTimeout(context.Background(), 2*time.Second)

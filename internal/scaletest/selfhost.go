@@ -3,7 +3,6 @@ package scaletest
 import (
 	"context"
 	"net"
-	"net/http"
 	"time"
 
 	"yourandvalue/internal/campaign"
@@ -60,7 +59,7 @@ func StartSelfHost(seed int64, maxPool int, opts ...pmeserver.Option) (*SelfHost
 		rtCancel()
 		return nil, err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := srv.HTTPServer()
 	go func() { _ = hs.Serve(ln) }()
 	return &SelfHost{
 		Server:  srv,

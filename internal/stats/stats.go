@@ -367,8 +367,3 @@ func normInvCDF(p float64) float64 {
 			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
 	}
 }
-
-// NormCDF is the standard normal cumulative distribution function.
-func NormCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
