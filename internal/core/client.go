@@ -49,7 +49,7 @@ func (t Totals) TotalCorrectedCPM() float64 {
 // request stream through the same detection step the analyzer folds
 // (detect.Engine), tallies cleartext prices directly, and estimates
 // encrypted ones locally with the PME model — no browsing data leaves
-// the device (§3.3).
+// the device (§3.3). Build one with NewClient.
 type Client struct {
 	model  *Model
 	eng    *detect.Engine

@@ -18,8 +18,8 @@ import (
 // conditional model fetch so extensions poll cheaply, batch and streaming
 // estimation endpoints so thin clients need not run the forest locally,
 // explicit accepted/dropped accounting on contributions, and structured
-// JSON errors throughout. Every handler body is transport only — decode, delegate to the pme.Service,
-// encode.
+// JSON errors throughout. Every handler body is transport only — decode,
+// delegate to the pme.Service, encode.
 
 // apiError is the structured error body every /v2 endpoint returns.
 type apiError struct {
