@@ -8,8 +8,8 @@ import (
 	"yourandvalue/internal/stats"
 )
 
-// trainTree induces one CART classifier over every row on X (n×d) with integer class
-// labels y in [0, classes). Features must not be NaN.
+// trainTree induces a CART classifier on every row of X (n×d) with
+// integer class labels y in [0, classes). Features must not be NaN.
 func trainTree(X [][]float64, y []int, classes int, cfg TreeConfig) (*Tree, error) {
 	cols, err := newColumns(X, y, classes)
 	if err != nil {
