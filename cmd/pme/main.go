@@ -267,7 +267,7 @@ func main() {
 
 	logger.Info("serving model",
 		"addr", *listen,
-		"routes", "GET /v2/model[/flat] [ETag], GET /v2/model/version, POST /v2/contribute, POST /v2/estimate[/stream], GET /v2/stats, GET /metrics")
+		"routes", "GET /v2/model [ETag], GET /v2/model/version, POST /v2/contribute, POST /v2/estimate[/stream], GET /v2/stats, GET /metrics")
 	<-ctx.Done()
 	shCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()

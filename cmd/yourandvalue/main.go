@@ -50,7 +50,7 @@ func main() {
 	var model *core.Model
 	if *pmeURL != "" {
 		fmt.Fprintf(os.Stderr, "fetching model from %s...\n", *pmeURL)
-		m, _, err := pmeserver.NewClient(*pmeURL).FetchModelFlatV2(ctx, "")
+		m, _, err := pmeserver.NewClient(*pmeURL).FetchModelV2(ctx, "")
 		exitOn(err)
 		model = m
 	} else {

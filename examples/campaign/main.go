@@ -76,7 +76,7 @@ func main() {
 	fmt.Printf("price classes (CPM representatives): %v\n", model.Binner.Reps)
 
 	// The portable model is what a YourAdValue client downloads.
-	blob, err := model.Encode()
+	blob, err := model.EncodeCompact()
 	if err != nil {
 		log.Fatal(err)
 	}

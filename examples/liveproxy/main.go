@@ -57,13 +57,13 @@ func main() {
 	// --- Client side: fetch the model conditionally, stream the user's
 	// traffic. ---
 	pmeClient := pmeserver.NewClient(ts.URL)
-	fetched, etag, err := pmeClient.FetchModelFlatV2(ctx, "")
+	fetched, etag, err := pmeClient.FetchModelV2(ctx, "")
 	check(err)
 	fmt.Printf("client fetched model: %d features, %d classes (etag %s)\n",
 		fetched.Features.Dim(), fetched.Binner.Classes(), etag)
 
 	// The extension's periodic poll (§3.3): unchanged model → 304, no body.
-	if _, _, err := pmeClient.FetchModelFlatV2(ctx, etag); errors.Is(err, pmeserver.ErrNotModified) {
+	if _, _, err := pmeClient.FetchModelV2(ctx, etag); errors.Is(err, pmeserver.ErrNotModified) {
 		fmt.Println("version poll: model unchanged, 304 — nothing downloaded")
 	}
 
@@ -148,7 +148,7 @@ func main() {
 
 	// The client's next conditional poll sees the new version: the old
 	// ETag no longer matches, so the refreshed model downloads.
-	refreshed, newTag, err := pmeClient.FetchModelFlatV2(ctx, etag)
+	refreshed, newTag, err := pmeClient.FetchModelV2(ctx, etag)
 	check(err)
 	fmt.Printf("client poll after retrain: etag %s → %s, now on model version %d\n",
 		etag, newTag, refreshed.Version)

@@ -144,44 +144,36 @@ func TestClientAttributesPerUser(t *testing.T) {
 
 // TestClientCompactModelMatchesJSON: the §3.3 client loads the compact
 // blob; over the whole trace its totals and event history equal, bit for
-// bit, those of a client over the JSON-decoded model.
+// bit, those of a client over the trained model itself.
 func TestClientCompactModelMatchesJSON(t *testing.T) {
 	f := pipeline(t)
-	jsonBlob, err := f.model.Encode()
+	blob, err := f.model.EncodeCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatBlob, err := f.model.EncodeCompact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := DecodeModel(jsonBlob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromFlat, err := DecodeCompactModel(flatBlob)
+	decoded, err := DecodeCompactModel(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := f.trace.Catalog.Directory()
-	a, b := NewClient(fromJSON, dir), NewClient(fromFlat, dir)
+	a, b := NewClient(f.model, dir), NewClient(decoded, dir)
 	for _, r := range f.trace.Requests {
 		a.Process(r)
 		b.Process(r)
 	}
 	if a.Totals() != b.Totals() {
-		t.Fatalf("totals: JSON %+v, compact %+v", a.Totals(), b.Totals())
+		t.Fatalf("totals: trained %+v, compact %+v", a.Totals(), b.Totals())
 	}
 	if a.Totals().EncryptedCount == 0 {
 		t.Fatal("no encrypted estimates compared")
 	}
 	ea, eb := a.Events(), b.Events()
 	if len(ea) != len(eb) {
-		t.Fatalf("events: JSON %d, compact %d", len(ea), len(eb))
+		t.Fatalf("events: trained %d, compact %d", len(ea), len(eb))
 	}
 	for i := range ea {
 		if ea[i] != eb[i] {
-			t.Fatalf("event %d: JSON %+v, compact %+v", i, ea[i], eb[i])
+			t.Fatalf("event %d: trained %+v, compact %+v", i, ea[i], eb[i])
 		}
 	}
 }

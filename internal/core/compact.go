@@ -10,14 +10,12 @@ import (
 	"yourandvalue/internal/mlkit"
 )
 
-// The compact model blob is the additive on-device distribution format:
-// where the JSON model ships every forest node as a named-field object,
-// the compact form ships a small JSON header (feature names, binner,
-// metadata — the parts that are genuinely tabular) followed by the flat
-// forest's 16-byte-per-node binary sections. Clients that fetch it
-// evaluate the flat engine directly; they never materialize pointer
-// nodes. JSON stays the format of /v2/model; this blob is served
-// alongside it on /v2/model/flat under the same ETag.
+// The compact model blob is the model's one wire and at-rest format:
+// a small JSON header (feature names, binner, metadata — the parts that
+// are genuinely tabular) followed by the flat forest's 16-byte-per-node
+// binary sections. GET /v2/model serves it, the fleet store keeps it,
+// and clients evaluate the flat engine it carries directly; they never
+// materialize pointer nodes.
 //
 // Layout (little-endian):
 //

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"yourandvalue/internal/analyzer"
 	"yourandvalue/internal/campaign"
+	"yourandvalue/internal/mlkit"
 	"yourandvalue/internal/rtb"
 	"yourandvalue/internal/stats"
 	"yourandvalue/internal/weblog"
@@ -191,38 +194,6 @@ func TestEncryptedEstimationOnD(t *testing.T) {
 	}
 }
 
-func TestModelSerializationRoundTrip(t *testing.T) {
-	f := pipeline(t)
-	blob, err := f.model.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeModel(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same predictions after the round trip.
-	for _, rec := range f.a1.Records[:200] {
-		x1 := f.model.Features.FromRecord(rec)
-		x2 := back.Features.FromRecord(rec)
-		if f.model.EstimateCPM(x1) != back.EstimateCPM(x2) {
-			t.Fatal("estimate diverged after serialization")
-		}
-		if f.model.EstimateCPMTree(x1) != back.EstimateCPMTree(x2) {
-			t.Fatal("tree estimate diverged after serialization")
-		}
-	}
-	if back.TimeShift != f.model.TimeShift {
-		t.Error("time shift lost")
-	}
-	if _, err := DecodeModel([]byte("{}")); err == nil {
-		t.Error("incomplete model accepted")
-	}
-	if _, err := DecodeModel([]byte("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
 func TestTimeShiftEstimated(t *testing.T) {
 	f := pipeline(t)
 	// 2016 campaign prices ran above 2015 weblog prices (Year2016Factor),
@@ -234,10 +205,11 @@ func TestTimeShiftEstimated(t *testing.T) {
 
 // TestTrainIdenticalAtAnyWorkerCount pins the Workers contract: the
 // cross-validation forests and the final one build their trees on
-// goroutines, and the encoded model must not change by a byte.
+// goroutines, and neither the compact blob nor the pointer forest and
+// tree behind it may change by a byte or a node.
 func TestTrainIdenticalAtAnyWorkerCount(t *testing.T) {
 	f := pipeline(t)
-	encode := func(workers int) []byte {
+	train := func(workers int) (*Model, []byte) {
 		pme := NewPME(17)
 		pme.ForestSize, pme.CVFolds, pme.CVRuns = 12, 3, 1
 		pme.Workers = workers
@@ -245,18 +217,56 @@ func TestTrainIdenticalAtAnyWorkerCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := m.Encode()
+		blob, err := m.EncodeCompact()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return blob
+		return m, blob
 	}
-	one := encode(1)
 	// At least 2, so the parallel path runs even where GOMAXPROCS is 1.
-	many := encode(max(2, runtime.GOMAXPROCS(0)))
-	if !bytes.Equal(one, many) {
-		t.Fatalf("model bytes differ between 1 and %d workers", max(2, runtime.GOMAXPROCS(0)))
+	workers := max(2, runtime.GOMAXPROCS(0))
+	one, oneBlob := train(1)
+	many, manyBlob := train(workers)
+	if !bytes.Equal(oneBlob, manyBlob) {
+		t.Fatalf("compact model bytes differ between 1 and %d workers", workers)
 	}
+	if len(one.Forest.Trees) != len(many.Forest.Trees) || one.Forest.Classes != many.Forest.Classes {
+		t.Fatalf("forest shape differs between 1 and %d workers", workers)
+	}
+	for i := range one.Forest.Trees {
+		if err := sameTree(one.Forest.Trees[i], many.Forest.Trees[i]); err != nil {
+			t.Fatalf("tree %d at %d workers: %v", i, workers, err)
+		}
+	}
+	if err := sameTree(one.Tree, many.Tree); err != nil {
+		t.Fatalf("representative tree at %d workers: %v", workers, err)
+	}
+}
+
+// sameTree compares two pointer trees node for node: split feature,
+// threshold bits, leaf flag and leaf class counts.
+func sameTree(a, b *mlkit.Tree) error {
+	if a.Classes != b.Classes {
+		return fmt.Errorf("classes %d, want %d", b.Classes, a.Classes)
+	}
+	var walk func(path string, x, y *mlkit.Node) error
+	walk = func(path string, x, y *mlkit.Node) error {
+		if (x == nil) != (y == nil) {
+			return fmt.Errorf("node %q: one side is nil", path)
+		}
+		if x == nil {
+			return nil
+		}
+		if x.Feature != y.Feature || math.Float64bits(x.Threshold) != math.Float64bits(y.Threshold) ||
+			x.Leaf != y.Leaf || !slices.Equal(x.Counts, y.Counts) {
+			return fmt.Errorf("node %q: %+v, want %+v", path, *y, *x)
+		}
+		if err := walk(path+"L", x.Left, y.Left); err != nil {
+			return err
+		}
+		return walk(path+"R", x.Right, y.Right)
+	}
+	return walk("", a.Root, b.Root)
 }
 
 // TestValidationStop: Stop ends a cross-validation nobody will read at

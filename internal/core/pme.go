@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -15,28 +14,31 @@ import (
 
 // Model is the portable encrypted-price estimator the PME distributes to
 // clients (§3.2): the S feature definition, the price discretization, and
-// the classifier — serialized as JSON so the browser extension can fetch
-// and apply it locally. Both the full forest and its most representative
-// single tree travel with the model; clients on constrained devices may
-// apply just the tree ("the model M (in the form of a decision tree)").
+// the classifier. It travels as the compact blob (EncodeCompact), which
+// the browser extension decodes and applies locally. Both the full forest
+// and its most representative single tree travel with the model; clients
+// on constrained devices may apply just the tree ("the model M (in the
+// form of a decision tree)").
 type Model struct {
-	Version   int           `json:"version"`
-	TrainedAt time.Time     `json:"trained_at"`
-	Features  *SFeatures    `json:"features"`
-	Binner    *mlkit.Binner `json:"binner"`
-	Forest    *mlkit.Forest `json:"forest"`
-	Tree      *mlkit.Tree   `json:"tree"`
+	Version   int
+	TrainedAt time.Time
+	Features  *SFeatures
+	Binner    *mlkit.Binner
+	// Forest and Tree are the pointer trees training builds. A decoded
+	// model has neither: it carries their flat engines only.
+	Forest *mlkit.Forest
+	Tree   *mlkit.Tree
 	// TimeShift is the multiplicative 2015→campaign-time price correction
 	// estimated from cleartext campaigns (§6.2): median(A2)/median(D).
-	TimeShift float64 `json:"time_shift"`
+	TimeShift float64
 	// Metrics records what is known of the model when it is published:
 	// its out-of-bag error, class count and training-set size. The §5.4
 	// cross-validation lands later, through CV.
-	Metrics ModelMetrics `json:"metrics"`
+	Metrics ModelMetrics
 	// CV is the §5.4 cross-validation of the Train call that produced
 	// the model, still running when Train returns. Clones share it; it is
 	// nil for decoded and retrained models.
-	CV *Validation `json:"-"`
+	CV *Validation
 
 	// flatForest/flatTree carry the inference engines of a compact-blob
 	// decode, which ships no pointer nodes at all. Models that do have a
@@ -112,9 +114,8 @@ func (m *Model) CloneWithVersion(version int, trainedAt time.Time) *Model {
 
 // FlatForest returns the model's compiled SoA inference engine: the
 // pointer forest's cached flat form when one exists (compiled once at
-// train time, or lazily after a JSON decode — the same once-guarded
-// pattern as the feature encoder), else the engine a compact-blob
-// decode shipped. Nil only for models with no forest at all.
+// train time), else the engine a compact-blob decode shipped. Nil only
+// for models with no forest at all.
 func (m *Model) FlatForest() *mlkit.FlatForest {
 	if m.Forest != nil {
 		return m.Forest.Flat()
@@ -161,22 +162,6 @@ func (m *Model) EstimateRowsInto(dst []float64, cls []int, rows [][]float64) {
 func (m *Model) EstimateCPMTree(x []float64) float64 {
 	return m.Binner.Representative(m.FlatTree().Predict(x))
 }
-
-// MarshalJSON-compatible round trip: Decode restores internal indices.
-func DecodeModel(blob []byte) (*Model, error) {
-	var m Model
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return nil, err
-	}
-	if m.Features == nil || m.Binner == nil || m.Forest == nil {
-		return nil, errors.New("core: incomplete model")
-	}
-	m.Features.rebuild()
-	return &m, nil
-}
-
-// Encode serializes the model for distribution.
-func (m *Model) Encode() ([]byte, error) { return json.Marshal(m) }
 
 // PME is the Price Modeling Engine: it bootstraps feature selection from
 // weblogs, plans and consumes probing campaigns, and trains the model.

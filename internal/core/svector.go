@@ -28,7 +28,7 @@ import (
 // client (FromImpression, EncodeImpressionInto) and the /v2/estimate
 // path (FromStrings) share the exact vector positions by construction.
 type SFeatures struct {
-	Names   []string `json:"names"`
+	Names   []string
 	enc     *detect.Encoder
 	rebuilt sync.Once
 }
@@ -50,11 +50,11 @@ func (s *SFeatures) HasPublishers() bool { return s.encoder().HasPublishers() }
 // Encoder returns the shared detection encoder behind the layout.
 func (s *SFeatures) Encoder() *detect.Encoder { return s.encoder() }
 
-// rebuild restores the encoder after JSON decoding.
+// rebuild restores the encoder from Names after a model decode.
 func (s *SFeatures) rebuild() { s.enc = detect.EncoderFromNames(s.Names) }
 
 // encoder returns the layout, reconstructing it when the SFeatures was
-// populated by a JSON decode rather than NewSFeatures. The once-guard
+// built from Names alone rather than by NewSFeatures. The once-guard
 // makes lazy reconstruction safe for concurrent encoders (batch
 // estimation workers, server handlers) sharing one SFeatures.
 func (s *SFeatures) encoder() *detect.Encoder {

@@ -68,7 +68,7 @@ func TestEncoderMatchesHistoricalLayout(t *testing.T) {
 	}
 }
 
-// TestEncoderRoundTripFromNames: a rebuilt encoder (the JSON-decode
+// TestEncoderRoundTripFromNames: a rebuilt encoder (the model-decode
 // path) must encode bit-identically to the constructed one.
 func TestEncoderRoundTripFromNames(t *testing.T) {
 	orig := NewEncoder([]string{"pub.example"})

@@ -32,8 +32,8 @@ type Encoder struct {
 	names []string
 	index map[string]int
 
-	// Hot-path resolution tables, rebuilt from names so a JSON-decoded
-	// layout encodes exactly like a freshly constructed one.
+	// Hot-path resolution tables, rebuilt from names so a decoded
+	// model's layout encodes exactly like a freshly constructed one.
 	cityIdx    []int // by geoip.City
 	cityByName map[string]int
 	originApp  int

@@ -24,10 +24,9 @@ import (
 //     the training counts (ties to the lower class index, exactly like
 //     Tree.Predict).
 //
-// A nil child in the pointer tree (possible after a hand-edited JSON
-// decode) compiles to a synthetic class-0 leaf, matching the pointer
-// walk's nil → zero-counts → class-0 fallback, so predictions are
-// bit-identical by construction.
+// A nil child in a hand-built pointer tree compiles to a synthetic
+// class-0 leaf, matching the pointer walk's nil → zero-counts → class-0
+// fallback, so predictions are bit-identical by construction.
 //
 // A FlatForest is immutable after Compile/decode and safe for
 // concurrent use.
@@ -297,16 +296,16 @@ func (t *Tree) Flat() *FlatForest {
 
 // --- binary codec ---
 //
-// The flat form doubles as the model's compact wire encoding: the JSON
-// model ships pointer nodes with field names per node, the flat blob
-// ships 16 bytes per node. Layout (little-endian):
+// The flat form doubles as the model's wire encoding (the forest and
+// tree sections of core's compact blob), at 16 bytes per node. Layout
+// (little-endian):
 //
 //	uint32 classes | uint32 nTrees | uint32 nNodes
 //	int32 roots[nTrees]
 //	int32 feats[nNodes] | int32 kids[nNodes] | float64 thrs[nNodes]
 
-// ErrBadFlatBlob reports a structurally invalid flat-forest encoding.
-var ErrBadFlatBlob = errors.New("mlkit: invalid flat forest encoding")
+// ErrBadFlatForest reports a structurally invalid flat-forest encoding.
+var ErrBadFlatForest = errors.New("mlkit: invalid flat forest encoding")
 
 // BinarySize returns the exact encoded size in bytes.
 func (ff *FlatForest) BinarySize() int {
@@ -343,18 +342,18 @@ func (ff *FlatForest) AppendBinary(b []byte) []byte {
 // here (the forest does not know its dimensionality).
 func DecodeFlatForest(b []byte) (*FlatForest, int, error) {
 	if len(b) < 12 {
-		return nil, 0, fmt.Errorf("%w: truncated header", ErrBadFlatBlob)
+		return nil, 0, fmt.Errorf("%w: truncated header", ErrBadFlatForest)
 	}
 	classes := int(int32(binary.LittleEndian.Uint32(b[0:4])))
 	nTrees := int(int32(binary.LittleEndian.Uint32(b[4:8])))
 	nNodes := int(int32(binary.LittleEndian.Uint32(b[8:12])))
 	if classes < 1 || classes > 1<<16 || nTrees < 0 || nNodes < 0 || nTrees > nNodes {
 		return nil, 0, fmt.Errorf("%w: bad dimensions (classes=%d trees=%d nodes=%d)",
-			ErrBadFlatBlob, classes, nTrees, nNodes)
+			ErrBadFlatForest, classes, nTrees, nNodes)
 	}
 	size := 12 + 4*nTrees + 16*nNodes
 	if size < 0 || len(b) < size {
-		return nil, 0, fmt.Errorf("%w: truncated body", ErrBadFlatBlob)
+		return nil, 0, fmt.Errorf("%w: truncated body", ErrBadFlatForest)
 	}
 	ff := &FlatForest{
 		Classes: classes,
@@ -382,21 +381,21 @@ func DecodeFlatForest(b []byte) (*FlatForest, int, error) {
 	}
 	for _, r := range ff.Roots {
 		if r < 0 || int(r) >= nNodes {
-			return nil, 0, fmt.Errorf("%w: root %d out of range", ErrBadFlatBlob, r)
+			return nil, 0, fmt.Errorf("%w: root %d out of range", ErrBadFlatForest, r)
 		}
 	}
 	for i, ft := range ff.Feats {
 		k := ff.Kids[i]
 		if ft < 0 {
 			if k < 0 || int(k) >= classes {
-				return nil, 0, fmt.Errorf("%w: leaf %d has class %d of %d", ErrBadFlatBlob, i, k, classes)
+				return nil, 0, fmt.Errorf("%w: leaf %d has class %d of %d", ErrBadFlatForest, i, k, classes)
 			}
 			continue
 		}
 		// Children must point strictly forward (termination) and both
 		// siblings must exist (bounds).
 		if int(k) <= i || int(k)+1 >= nNodes {
-			return nil, 0, fmt.Errorf("%w: node %d has children at %d", ErrBadFlatBlob, i, k)
+			return nil, 0, fmt.Errorf("%w: node %d has children at %d", ErrBadFlatForest, i, k)
 		}
 	}
 	return ff, size, nil

@@ -261,8 +261,7 @@ func TestFlatTreeEquivalence(t *testing.T) {
 }
 
 // TestFlatNilChildren pins the synthetic-leaf fallback: a hand-built
-// tree with nil children (possible after a hand-edited JSON decode)
-// must compile to the same class-0 fallback the pointer walk computes.
+// tree with nil children must compile to the same class-0 fallback the pointer walk computes.
 func TestFlatNilChildren(t *testing.T) {
 	tr := &Tree{
 		Classes: 3,

@@ -57,8 +57,8 @@ func isqrt(n int) int {
 // be trained quickly on large datasets, maintains interpretability of
 // features and generally does not overfit" (§5.1).
 type Forest struct {
-	Trees   []*Tree `json:"trees"`
-	Classes int     `json:"classes"`
+	Trees   []*Tree
+	Classes int
 
 	oobError   float64
 	importance []float64

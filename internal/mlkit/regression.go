@@ -12,18 +12,18 @@ import (
 // error)" (§5.4); this implementation exists so that finding is testable
 // against the classification approach rather than assumed.
 type RegressionTree struct {
-	Root *RegNode `json:"root"`
+	Root *RegNode
 }
 
 // RegNode is one regression-tree node; leaves carry the mean target.
 type RegNode struct {
-	Feature   int      `json:"f,omitempty"`
-	Threshold float64  `json:"t,omitempty"`
-	Left      *RegNode `json:"l,omitempty"`
-	Right     *RegNode `json:"r,omitempty"`
-	Leaf      bool     `json:"leaf,omitempty"`
-	Value     float64  `json:"v,omitempty"` // mean target at leaf
-	N         int      `json:"n,omitempty"`
+	Feature   int
+	Threshold float64
+	Left      *RegNode
+	Right     *RegNode
+	Leaf      bool
+	Value     float64 // mean target at leaf
+	N         int
 }
 
 // TrainRegressionTree fits a regression tree on X → y.

@@ -46,23 +46,21 @@ func (c TreeConfig) withDefaults() TreeConfig {
 
 // Node is one decision-tree node. Leaves carry the class-vote histogram
 // so probability estimates and forest vote aggregation work; internal
-// nodes split on Feature ≤ Threshold (left) vs > (right). The structure
-// is JSON-serializable — it is the model format the PME ships to
-// YourAdValue clients (§3.2: "apply the model M (in the form of a
-// decision tree) locally on their device").
+// nodes split on Feature ≤ Threshold (left) vs > (right). Clients never
+// see this form: the PME ships the tree compiled flat (see FlatForest).
 type Node struct {
-	Feature   int     `json:"f,omitempty"`
-	Threshold float64 `json:"t,omitempty"`
-	Left      *Node   `json:"l,omitempty"`
-	Right     *Node   `json:"r,omitempty"`
-	Leaf      bool    `json:"leaf,omitempty"`
-	Counts    []int   `json:"c,omitempty"` // per-class sample counts at leaf
+	Feature   int
+	Threshold float64
+	Left      *Node
+	Right     *Node
+	Leaf      bool
+	Counts    []int // per-class sample counts at leaf
 }
 
 // Tree is a trained CART classifier.
 type Tree struct {
-	Root    *Node `json:"root"`
-	Classes int   `json:"classes"`
+	Root    *Node
+	Classes int
 	// importance accumulates per-feature impurity decrease during
 	// induction (unnormalized).
 	importance []float64

@@ -1,7 +1,6 @@
 package mlkit
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -180,25 +179,6 @@ func TestTreeImportance(t *testing.T) {
 	}
 	if imp[0] < imp[1] || imp[0] < imp[2] {
 		t.Errorf("informative feature not ranked first: %v", imp)
-	}
-}
-
-func TestTreeJSONRoundTrip(t *testing.T) {
-	X, y := axisData(200, 9)
-	tree, _ := trainTree(X, y, 2, TreeConfig{MaxDepth: 4})
-	blob, err := json.Marshal(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Tree
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range X {
-		if back.Predict(x) != tree.Predict(x) {
-			t.Fatalf("prediction diverged after serialization at row %d", i)
-		}
-		_ = i
 	}
 }
 

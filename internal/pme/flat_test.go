@@ -30,22 +30,21 @@ func flatItems(n int) []EstimateItem {
 	return items
 }
 
-func TestPublishFlatBlob(t *testing.T) {
+// TestPublishCompactBlob: a snapshot's blob is the compact encoding of
+// its model, and the decoded blob estimates like the serving model.
+func TestPublishCompactBlob(t *testing.T) {
 	m := testModel(t)
 	reg := NewRegistry()
 	snap, err := reg.Publish(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.FlatBlob) == 0 {
-		t.Fatal("publish of a trained model produced no FlatBlob")
-	}
-	back, err := core.DecodeCompactModel(snap.FlatBlob)
+	back, err := core.DecodeCompactModel(snap.Blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Version != snap.Version {
-		t.Errorf("flat blob version %d, snapshot %d", back.Version, snap.Version)
+		t.Errorf("blob version %d, snapshot %d", back.Version, snap.Version)
 	}
 	sess := &EstimateSession{snap: snap, vec: make([]float64, snap.Model.Features.Dim())}
 	vec := make([]float64, back.Features.Dim())
@@ -58,7 +57,7 @@ func TestPublishFlatBlob(t *testing.T) {
 			Hour: hour, Weekday: weekday,
 		})
 		if got := back.EstimateCPM(vec); got != want {
-			t.Fatalf("item %d: flat-blob model estimates %v, serving model %v", i, got, want)
+			t.Fatalf("item %d: decoded blob estimates %v, serving model %v", i, got, want)
 		}
 	}
 }

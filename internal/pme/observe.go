@@ -16,7 +16,7 @@ import (
 //	pme_model_etag_age_seconds    gauge    seconds since the serving snapshot was published
 //	pme_model_publishes_total     counter  lifetime hot-swaps (publishes + rollbacks)
 //	pme_model_nodes               gauge    flat-forest node count of the serving model
-//	pme_model_blob_bytes{format}  gauge    serving blob size per representation (json|flat)
+//	pme_model_blob_bytes          gauge    size of the serving model's compact blob
 //	pme_model_oob_error           gauge    out-of-bag error of the serving model
 //	pme_model_cv_accuracy         gauge    §5.4 CV accuracy of the latest quality record (0 until done)
 //	pme_model_cv_auc              gauge    §5.4 CV AUC-ROC of the latest quality record (0 until done)
@@ -55,17 +55,10 @@ func Instrument(r *obs.Registry, reg *Registry, pool PoolBackend) {
 				}
 				return 0
 			})
-		r.GaugeFunc("pme_model_blob_bytes", "Size of the serving model blob, per distribution format.", obs.Labels{"format": "json"},
+		r.GaugeFunc("pme_model_blob_bytes", "Size of the serving model's compact blob in bytes (0 before the first publish).", nil,
 			func() float64 {
 				if snap := reg.Current(); snap != nil {
 					return float64(len(snap.Blob))
-				}
-				return 0
-			})
-		r.GaugeFunc("pme_model_blob_bytes", "Size of the serving model blob, per distribution format.", obs.Labels{"format": "flat"},
-			func() float64 {
-				if snap := reg.Current(); snap != nil {
-					return float64(len(snap.FlatBlob))
 				}
 				return 0
 			})

@@ -2,7 +2,6 @@ package pme
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -85,8 +84,8 @@ func TestRegistryPublishVersionsAndETags(t *testing.T) {
 	if reg.Current() != s2 {
 		t.Error("Current is not the latest publish")
 	}
-	if len(reg.History()) != 2 {
-		t.Errorf("history length = %d, want 2", len(reg.History()))
+	if len(reg.history) != 2 {
+		t.Errorf("history length = %d, want 2", len(reg.history))
 	}
 }
 
@@ -126,7 +125,7 @@ func TestRegistryHistoryBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h := reg.History()
+	h := reg.history
 	if len(h) != 3 {
 		t.Fatalf("history length = %d, want 3", len(h))
 	}
@@ -348,22 +347,19 @@ func TestRetrainPublishesOOBError(t *testing.T) {
 		t.Fatal("retrained model kept its base's cross-validation")
 	}
 	for _, s := range []*Snapshot{base, snap} {
-		var blob struct {
-			Metrics map[string]any `json:"metrics"`
-		}
-		if err := json.Unmarshal(s.Blob, &blob); err != nil {
+		back, err := core.DecodeCompactModel(s.Blob)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := blob.Metrics["oob_error"]; !ok {
-			t.Errorf("version %d blob metrics %v lack oob_error", s.Version, blob.Metrics)
+		if got := back.Metrics; got.OOBError != s.Model.Metrics.OOBError || got.OOBError <= 0 {
+			t.Errorf("version %d blob OOB error %v, model's %v", s.Version, got.OOBError, s.Model.Metrics.OOBError)
 		}
-		if _, ok := blob.Metrics["accuracy"]; ok {
-			t.Errorf("version %d blob advertises accuracy before any cross-validation: %v", s.Version, blob.Metrics)
+		if got := back.Metrics; got.Accuracy != 0 || got.AUCROC != 0 || got.CVFolds != 0 {
+			t.Errorf("version %d blob advertises cross-validated metrics before any ran: %+v", s.Version, got)
 		}
 	}
-	hist := reg.History()
-	if len(hist) != 2 || hist[0].OOBError != base.Model.Metrics.OOBError || hist[1].OOBError != snap.Model.Metrics.OOBError {
-		t.Fatalf("history %+v", hist)
+	if h := reg.history; len(h) != 2 || h[0] != base || h[1] != snap {
+		t.Fatalf("history holds %d snapshots, want the base and the retrain", len(h))
 	}
 }
 

@@ -12,32 +12,17 @@ import (
 	"yourandvalue/internal/core"
 )
 
-// Snapshot is one immutable published model version: the decoded model,
-// its serialized distribution bytes, and the strong ETag over them.
+// Snapshot is one immutable published model version: the model, its
+// compact blob (core.Model.EncodeCompact) and the strong ETag over it.
 // Snapshots are never mutated after Publish — readers may hold one for
 // the whole lifetime of a request (or an unbounded estimate stream) and
 // see a single consistent version regardless of concurrent hot-swaps.
 type Snapshot struct {
-	Model   *core.Model
-	Version int
-	ETag    string // strong ETag over Blob, quoted
-	Blob    []byte // the exact bytes GET /model distributes; read-only
-	// FlatBlob is the compact flat encoding GET /v2/model/flat serves —
-	// the same model in 16-byte-per-node binary form, under the same
-	// ETag (one version, two representations). Nil when the model has
-	// no compilable forest.
-	FlatBlob    []byte
+	Model       *core.Model
+	Version     int
+	ETag        string // strong ETag over Blob, quoted
+	Blob        []byte // the exact bytes GET /v2/model distributes; read-only
 	PublishedAt time.Time
-}
-
-// SnapshotInfo is the metadata-only view of a Snapshot the registry's
-// history reports.
-type SnapshotInfo struct {
-	Version     int       `json:"version"`
-	ETag        string    `json:"etag"`
-	PublishedAt time.Time `json:"published_at"`
-	TrainSize   int       `json:"train_size"`
-	OOBError    float64   `json:"oob_error"`
 }
 
 // Quality record states.
@@ -141,25 +126,22 @@ func (r *Registry) Publish(m *core.Model) (*Snapshot, error) {
 }
 
 // makeSnapshot clones m stamped with version/at and builds the full
-// immutable snapshot: canonical JSON blob, strong ETag, and best-effort
-// compact flat blob. Shared by the local publish path and the fleet
-// replica (which allocates versions from the store instead of locally).
+// immutable snapshot: the compact blob and the strong ETag over it. A
+// model that cannot be encoded (one without a forest) is an error, so it
+// never serves. Shared by the local publish path and the fleet replica
+// (which allocates versions from the store instead of locally).
 func makeSnapshot(m *core.Model, version int, at time.Time) (*Snapshot, error) {
 	clone := m.CloneWithVersion(version, at)
-	blob, err := clone.Encode()
+	blob, err := clone.EncodeCompact()
 	if err != nil {
 		return nil, err
 	}
 	sum := sha256.Sum256(blob)
-	// Best-effort: a model without a forest (possible in tests) still
-	// publishes, it just serves no flat representation.
-	flatBlob, _ := clone.EncodeCompact()
 	return &Snapshot{
 		Model:       clone,
 		Version:     version,
 		ETag:        `"` + hex.EncodeToString(sum[:8]) + `"`,
 		Blob:        blob,
-		FlatBlob:    flatBlob,
 		PublishedAt: clone.TrainedAt,
 	}, nil
 }
@@ -206,33 +188,24 @@ func (r *Registry) Publishes() int64 {
 // of old weights, so polling clients converge on it through the same
 // ETag-change signal as any other refresh.
 func (r *Registry) Rollback() (*Snapshot, error) {
-	r.mu.Lock()
-	if len(r.history) < 2 {
-		r.mu.Unlock()
-		return nil, ErrNoHistory
+	prev, err := r.predecessor()
+	if err != nil {
+		return nil, err
 	}
-	prev := r.history[len(r.history)-2].Model
-	r.mu.Unlock()
 	// Publish re-locks; the gap is benign — a racing Publish simply
 	// becomes another version between the predecessor and the rollback.
 	return r.Publish(prev)
 }
 
-// History returns metadata for the retained snapshots, oldest first.
-func (r *Registry) History() []SnapshotInfo {
+// predecessor returns the model of the snapshot published before the
+// serving one — what a rollback re-publishes — or ErrNoHistory.
+func (r *Registry) predecessor() (*core.Model, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]SnapshotInfo, len(r.history))
-	for i, s := range r.history {
-		out[i] = SnapshotInfo{
-			Version:     s.Version,
-			ETag:        s.ETag,
-			PublishedAt: s.PublishedAt,
-			TrainSize:   s.Model.Metrics.TrainSize,
-			OOBError:    s.Model.Metrics.OOBError,
-		}
+	if len(r.history) < 2 {
+		return nil, ErrNoHistory
 	}
-	return out
+	return r.history[len(r.history)-2].Model, nil
 }
 
 // TrackQuality implements QualitySink. The record of the latest tracked

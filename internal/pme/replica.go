@@ -241,7 +241,6 @@ func (r *Replica) Publish(m *core.Model) (*Snapshot, error) {
 		Version:     snap.Version,
 		ETag:        snap.ETag,
 		Blob:        snap.Blob,
-		FlatBlob:    snap.FlatBlob,
 		PublishedAt: snap.PublishedAt,
 		TrainSize:   snap.Model.Metrics.TrainSize,
 	}
@@ -263,13 +262,10 @@ func (r *Replica) Publish(m *core.Model) (*Snapshot, error) {
 // fleet-wide, so every replica converges on the rollback through the
 // same adoption path as any other publish.
 func (r *Replica) Rollback() (*Snapshot, error) {
-	r.reg.mu.Lock()
-	if len(r.reg.history) < 2 {
-		r.reg.mu.Unlock()
-		return nil, ErrNoHistory
+	prev, err := r.reg.predecessor()
+	if err != nil {
+		return nil, err
 	}
-	prev := r.reg.history[len(r.reg.history)-2].Model
-	r.reg.mu.Unlock()
 	return r.Publish(prev)
 }
 
@@ -305,7 +301,7 @@ func (r *Replica) SyncOnce(ctx context.Context) error {
 	if cur != nil && rec.Version <= cur.Version {
 		return nil
 	}
-	m, err := core.DecodeModel(rec.Blob)
+	m, err := core.DecodeCompactModel(rec.Blob)
 	if err != nil {
 		return fmt.Errorf("pme: decoding model version %d from store: %w", rec.Version, err)
 	}
@@ -314,7 +310,6 @@ func (r *Replica) SyncOnce(ctx context.Context) error {
 		Version:     rec.Version,
 		ETag:        rec.ETag,
 		Blob:        rec.Blob,
-		FlatBlob:    rec.FlatBlob,
 		PublishedAt: rec.PublishedAt,
 	}
 	if r.reg.Adopt(snap) {

@@ -3,6 +3,7 @@ package pme
 import (
 	"context"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -248,6 +249,76 @@ func TestReplicaRollbackForwardOnly(t *testing.T) {
 		t.Fatalf("b converged on %+v, want rollback v%d", b.Current(), rb.Version)
 	}
 	_ = v1
+}
+
+// TestReplicaRollbackOfDecodedModels: a replica whose two versions were
+// both adopted from the store — compact-decoded, with no pointer forest
+// — rolls back to a strictly higher version that estimates bit for bit
+// like the trained predecessor.
+func TestReplicaRollbackOfDecodedModels(t *testing.T) {
+	st := memstore.New()
+	defer st.Close()
+	ctx := context.Background()
+	leader := NewReplica(st, nil, WithReplicaID("leader"), WithReplicaRetry(fastRetry))
+	follower := NewReplica(st, nil, WithReplicaID("follower"), WithReplicaRetry(fastRetry))
+
+	v1, err := leader.Publish(testModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.SyncOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// The second version is a retrain on other data with three classes,
+	// so it estimates differently from the first.
+	pool := leader.Pool()
+	pool.Add(retrainContributions(120))
+	v2, err := NewRetrainerWith(leader, pool, RetrainConfig{
+		MinSamples: 100, Classes: 3, ForestSize: 5, Seed: 11,
+	}).RetrainOnce(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.SyncOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if h := follower.reg.history; len(h) != 2 || h[0].Version != v1.Version || h[1].Version != v2.Version {
+		t.Fatalf("follower history is not v%d, v%d", v1.Version, v2.Version)
+	}
+	for _, s := range follower.reg.history {
+		if s.Model.Forest != nil || s.Model.Tree != nil {
+			t.Fatalf("adopted v%d has pointer nodes; want a compact-decoded model", s.Version)
+		}
+	}
+
+	rb, err := follower.Rollback()
+	if err != nil {
+		t.Fatalf("Rollback: %v", err)
+	}
+	if rb.Version <= v2.Version {
+		t.Fatalf("rollback version %d not ahead of %d", rb.Version, v2.Version)
+	}
+	estimate := func(snap *Snapshot, it *EstimateItem) float64 {
+		sess := &EstimateSession{snap: snap, vec: make([]float64, snap.Model.Features.Dim())}
+		return sess.Estimate(it)
+	}
+	differs := false
+	for i, it := range flatItems(300) {
+		want := estimate(v1, &it)
+		if got := estimate(rb, &it); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("item %d: rollback estimates %v, v%d estimated %v", i, got, v1.Version, want)
+		}
+		differs = differs || estimate(v2, &it) != want
+	}
+	if !differs {
+		t.Fatal("v1 and v2 estimate alike; the rollback proves nothing")
+	}
+	if err := leader.SyncOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if cur := leader.Current(); cur.Version != rb.Version || cur.ETag != rb.ETag {
+		t.Fatalf("leader serves v%d %s, want rollback v%d %s", cur.Version, cur.ETag, rb.Version, rb.ETag)
+	}
 }
 
 // TestReplicaOutageServesCachedSnapshot covers the degraded mode: store

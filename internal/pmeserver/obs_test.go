@@ -78,13 +78,9 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	if fam, ok = obs.FindFamily(fams, "pme_model_blob_bytes"); !ok {
 		t.Fatal("pme_model_blob_bytes missing")
 	}
-	vj, okj := fam.Sample(obs.Labels{"format": "json"})
-	vf, okf := fam.Sample(obs.Labels{"format": "flat"})
-	if !okj || !okf || vj <= 0 || vf <= 0 {
-		t.Fatalf("pme_model_blob_bytes{json}=%v,%v {flat}=%v,%v; want both > 0", vj, okj, vf, okf)
-	}
-	if vf >= vj {
-		t.Errorf("flat blob (%v bytes) should undercut json blob (%v bytes)", vf, vj)
+	if v, ok := fam.Sample(nil); !ok || v != float64(len(srv.Registry().Current().Blob)) || len(fam.Samples) != 1 {
+		t.Fatalf("pme_model_blob_bytes = %v, %v over %d series; want the serving blob's %d bytes as one series",
+			v, ok, len(fam.Samples), len(srv.Registry().Current().Blob))
 	}
 	if fam, ok = obs.FindFamily(fams, "pme_pool_accepted_total"); !ok {
 		t.Fatal("pme_pool_accepted_total missing")

@@ -285,8 +285,7 @@ func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 //
 // v2 (context-aware clients, structured JSON errors — see v2.go):
 //
-//	GET  /v2/model           → model JSON with ETag; If-None-Match → 304
-//	GET  /v2/model/flat      → compact flat binary model, same ETag (404 when the model has no forest)
+//	GET  /v2/model           → compact model blob with ETag; If-None-Match → 304
 //	GET  /v2/model/version   → {"version": N, "etag": "..."}
 //	POST /v2/contribute      → {"accepted":N,"dropped":M,"invalid":K}; 507 when full
 //	POST /v2/estimate        → batch price estimation for thin clients
@@ -305,7 +304,6 @@ func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/v2/model", s.route("v2.model", s.handleModelV2))
-	mux.Handle("/v2/model/flat", s.route("v2.model_flat", s.handleModelFlatV2))
 	mux.Handle("/v2/model/version", s.route("v2.version", s.handleVersionV2))
 	mux.Handle("/v2/contribute", s.route("v2.contribute", s.handleContributeV2))
 	mux.Handle("/v2/estimate", s.route("v2.estimate", s.handleEstimateV2))

@@ -110,41 +110,13 @@ func (s *Server) handleModelV2(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("ETag", snap.ETag)
 	// Extensions poll for new versions (§3.3); an unchanged ETag answers
-	// the poll without shipping the multi-hundred-KiB model body.
-	if r.Header.Get("If-None-Match") == snap.ETag {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(snap.Blob)
-}
-
-// handleModelFlatV2 serves the compact flat encoding of the serving
-// model — the same version /v2/model distributes as JSON, under the
-// same ETag, in the 16-byte-per-node binary form the flat inference
-// engine evaluates directly. Clients that fetch it never materialize
-// pointer nodes.
-func (s *Server) handleModelFlatV2(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeV2Error(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET")
-		return
-	}
-	snap, err := s.svc.ModelSnapshot(r.Context())
-	if err != nil {
-		writeV2ServiceError(w, err)
-		return
-	}
-	if len(snap.FlatBlob) == 0 {
-		writeV2Error(w, http.StatusNotFound, "no_flat_model", "serving model has no flat representation")
-		return
-	}
-	w.Header().Set("ETag", snap.ETag)
+	// the poll without shipping the model body.
 	if r.Header.Get("If-None-Match") == snap.ETag {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(snap.FlatBlob)
+	_, _ = w.Write(snap.Blob)
 }
 
 func (s *Server) handleVersionV2(w http.ResponseWriter, r *http.Request) {
@@ -277,47 +249,12 @@ func decodeV2Error(resp *http.Response) error {
 	return fmt.Errorf("pmeserver: %s (%s)", body.Error.Message, body.Error.Code)
 }
 
-// FetchModelV2 downloads the current model unless it still matches etag
-// (pass "" on first fetch). On a 304 it returns (nil, etag, ErrNotModified);
-// otherwise the decoded model and its new ETag for the next poll.
+// FetchModelV2 downloads the current model's compact blob unless it
+// still matches etag (pass "" on first fetch). On a 304 it returns (nil,
+// etag, ErrNotModified); otherwise the decoded model, which carries the
+// flat inference engines only, and its new ETag for the next poll.
 func (c *Client) FetchModelV2(ctx context.Context, etag string) (*core.Model, string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v2/model", nil)
-	if err != nil {
-		return nil, etag, err
-	}
-	if etag != "" {
-		req.Header.Set("If-None-Match", etag)
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, etag, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		return nil, etag, ErrNotModified
-	case http.StatusOK:
-		buf, err := readAll(resp.Body, 32<<20)
-		if err != nil {
-			return nil, etag, err
-		}
-		m, err := core.DecodeModel(buf)
-		if err != nil {
-			return nil, etag, err
-		}
-		return m, resp.Header.Get("ETag"), nil
-	default:
-		return nil, etag, decodeV2Error(resp)
-	}
-}
-
-// FetchModelFlatV2 downloads the current model in compact flat form
-// unless it still matches etag (pass "" on first fetch). On a 304 it
-// returns (nil, etag, ErrNotModified). The decoded model carries the
-// flat inference engines only; it estimates bit-identically to the
-// JSON-decoded model while the blob is a fraction of the size.
-func (c *Client) FetchModelFlatV2(ctx context.Context, etag string) (*core.Model, string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v2/model/flat", nil)
 	if err != nil {
 		return nil, etag, err
 	}

@@ -48,8 +48,7 @@ func rec(v int) store.ModelRecord {
 	return store.ModelRecord{
 		Version:     v,
 		ETag:        fmt.Sprintf("\"etag-%d\"", v),
-		Blob:        []byte(fmt.Sprintf(`{"version":%d}`, v)),
-		FlatBlob:    []byte{0x01, byte(v)},
+		Blob:        []byte{'Y', 'A', 'V', 'M', 0x00, 0xff, byte(v)},
 		PublishedAt: time.Unix(1700000000, 0).UTC().Add(time.Duration(v) * time.Second),
 		TrainSize:   v * 10,
 	}
@@ -80,7 +79,7 @@ func TestConformanceModelLineage(t *testing.T) {
 		}
 		want := rec(v1)
 		if got.Version != want.Version || got.ETag != want.ETag ||
-			string(got.Blob) != string(want.Blob) || string(got.FlatBlob) != string(want.FlatBlob) ||
+			string(got.Blob) != string(want.Blob) ||
 			!got.PublishedAt.Equal(want.PublishedAt) || got.TrainSize != want.TrainSize {
 			t.Fatalf("LoadModel round trip mismatch: got %+v want %+v", got, want)
 		}

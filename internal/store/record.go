@@ -17,18 +17,16 @@ const maxRecordField = 256 << 20
 
 // MarshalRecord encodes rec into the store wire envelope networked
 // backends persist: a magic header plus uvarint-length-prefixed fields.
-// JSON would base64-inflate the blobs by a third; the envelope keeps
-// them byte-for-byte, so the compact flat encoding stays compact at
-// rest.
+// JSON would base64-inflate the blob by a third; the envelope keeps it
+// byte-for-byte, so the compact model stays compact at rest.
 func MarshalRecord(rec *ModelRecord) []byte {
-	buf := make([]byte, 0, len(recordMagic)+8*5+len(rec.Blob)+len(rec.FlatBlob)+len(rec.ETag))
+	buf := make([]byte, 0, len(recordMagic)+8*4+len(rec.Blob)+len(rec.ETag))
 	buf = append(buf, recordMagic...)
 	buf = binary.AppendUvarint(buf, uint64(rec.Version))
 	buf = binary.AppendVarint(buf, rec.PublishedAt.UnixNano())
 	buf = binary.AppendUvarint(buf, uint64(rec.TrainSize))
 	buf = appendBytes(buf, []byte(rec.ETag))
 	buf = appendBytes(buf, rec.Blob)
-	buf = appendBytes(buf, rec.FlatBlob)
 	return buf
 }
 
@@ -60,10 +58,6 @@ func UnmarshalRecord(data []byte) (*ModelRecord, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: record blob: %w", err)
 	}
-	flat, p, err := readBytes(p)
-	if err != nil {
-		return nil, fmt.Errorf("store: record flat blob: %w", err)
-	}
 	if len(p) != 0 {
 		return nil, errors.New("store: model record envelope has trailing bytes")
 	}
@@ -71,7 +65,6 @@ func UnmarshalRecord(data []byte) (*ModelRecord, error) {
 		Version:     int(version),
 		ETag:        string(etag),
 		Blob:        blob,
-		FlatBlob:    flat,
 		PublishedAt: time.Unix(0, pubNano).UTC(),
 		TrainSize:   int(trainSize),
 	}, nil

@@ -35,17 +35,13 @@ import (
 	"time"
 )
 
-// ModelRecord is one published model version in store form: the wire
-// blobs plus the metadata replicas need to build a serving snapshot
-// without retraining. Blob is the canonical JSON encoding every
-// existing client understands; FlatBlob is the compact binary encoding
-// (preferred by fleet-internal fetches, ~40% smaller) and may be empty
-// when the model has no compilable forest.
+// ModelRecord is one published model version in store form: the model's
+// compact blob (the bytes GET /v2/model serves, under ETag) plus the
+// metadata replicas need to build a serving snapshot without retraining.
 type ModelRecord struct {
 	Version     int
 	ETag        string
 	Blob        []byte
-	FlatBlob    []byte
 	PublishedAt time.Time
 	TrainSize   int
 }
