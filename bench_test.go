@@ -16,7 +16,6 @@ import (
 	"yourandvalue/internal/core"
 	"yourandvalue/internal/detect"
 	"yourandvalue/internal/geoip"
-	"yourandvalue/internal/mlkit"
 	"yourandvalue/internal/nurl"
 	"yourandvalue/internal/priceenc"
 	"yourandvalue/internal/rtb"
@@ -300,23 +299,6 @@ func BenchmarkStudyPipelineStaged(b *testing.B) {
 	}
 }
 
-// pointerVote is the pre-flat forest walk BenchmarkDetectEngine keeps as
-// its baseline: every tree's *Node chase, then the majority vote (ties
-// to the lower class) in a caller-owned tally.
-func pointerVote(f *mlkit.Forest, votes []int, x []float64) int {
-	clear(votes)
-	for _, t := range f.Trees {
-		votes[t.Predict(x)]++
-	}
-	best := 0
-	for c, v := range votes {
-		if v > votes[best] {
-			best = c
-		}
-	}
-	return best
-}
-
 // --- Shared detection engine vs the pre-refactor string path ---
 
 // BenchmarkDetectEngine pits the shared internal/detect engine (interned
@@ -389,29 +371,19 @@ func BenchmarkDetectEngine(b *testing.B) {
 		b.ReportMetric(float64(len(reqs)), "requests/op")
 	})
 
-	// The estimate leg in isolation: same encoded vectors, four walks.
-	// "pointer" is the pre-flat baseline (heap-scattered *Node chase per
-	// tree), "flat" the SoA walk EstimateCPM now routes through,
-	// "flat-batch" the tree-major batch walk the server paths use, and
-	// "flat-window8" that walk on 8-row windows, the shape of one
-	// estimate-small request.
+	// The estimate leg in isolation: same encoded vectors, three walks.
+	// "flat" is the SoA walk EstimateCPM routes through, "flat-batch" the
+	// tree-major batch walk the server paths use, and "flat-window8" that
+	// walk on 8-row windows, the shape of one estimate-small request.
 	b.Run("estimate", func(b *testing.B) {
 		vecs := encryptedVectors(s, len(reqs))
 		if len(vecs) == 0 {
 			b.Fatal("no encrypted impressions in the bench trace")
 		}
-		forest, binner := model.Forest, model.Binner
+		binner := model.Binner
 		flat := model.FlatForest()
 		sink := 0.0
 
-		b.Run("pointer", func(b *testing.B) {
-			b.ReportAllocs()
-			votes := make([]int, forest.Classes)
-			for i := 0; i < b.N; i++ {
-				sink += binner.Representative(pointerVote(forest, votes, vecs[i%len(vecs)]))
-			}
-			_ = sink
-		})
 		b.Run("flat", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

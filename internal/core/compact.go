@@ -13,9 +13,9 @@ import (
 // The compact model blob is the model's one wire and at-rest format:
 // a small JSON header (feature names, binner, metadata — the parts that
 // are genuinely tabular) followed by the flat forest's 16-byte-per-node
-// binary sections. GET /v2/model serves it, the fleet store keeps it,
-// and clients evaluate the flat engine it carries directly; they never
-// materialize pointer nodes.
+// binary sections, byte for byte the forest and tree a trained model
+// holds. GET /v2/model serves it, the fleet store keeps it, and clients
+// walk the forest and tree it carries directly.
 //
 // Layout (little-endian):
 //
@@ -86,10 +86,10 @@ func (m *Model) EncodeCompact() ([]byte, error) {
 }
 
 // DecodeCompactModel restores a model from its compact encoding. The
-// result carries the flat engines only (Forest/Tree stay nil): every
-// estimate path routes through FlatForest/FlatTree, so the decoded
-// model estimates bit-identically to the original without ever
-// rebuilding pointer nodes.
+// decoded forest and tree are the trained model's, so it estimates
+// bit-identically to the original; only the forest's out-of-bag error
+// and importance, which the header's metrics carry instead, stay
+// behind.
 func DecodeCompactModel(blob []byte) (*Model, error) {
 	if len(blob) < len(compactMagic)+2 || string(blob[:len(compactMagic)]) != compactMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadCompactModel)
@@ -157,14 +157,14 @@ func DecodeCompactModel(blob []byte) (*Model, error) {
 	}
 
 	m := &Model{
-		Version:    h.Version,
-		TrainedAt:  h.TrainedAt,
-		Features:   &SFeatures{Names: h.Names},
-		Binner:     h.Binner,
-		TimeShift:  h.TimeShift,
-		Metrics:    h.Metrics,
-		flatForest: ff,
-		flatTree:   ft,
+		Version:   h.Version,
+		TrainedAt: h.TrainedAt,
+		Features:  &SFeatures{Names: h.Names},
+		Binner:    h.Binner,
+		TimeShift: h.TimeShift,
+		Metrics:   h.Metrics,
+		forest:    ff,
+		tree:      ft,
 	}
 	m.Features.rebuild()
 	return m, nil

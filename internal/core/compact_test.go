@@ -22,10 +22,11 @@ func TestCompactModelRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Forest != nil || back.Tree != nil {
-		t.Fatal("compact decode materialized pointer nodes")
+	if !bytes.Equal(back.FlatForest().AppendBinary(nil), f.model.FlatForest().AppendBinary(nil)) ||
+		!bytes.Equal(back.FlatTree().AppendBinary(nil), f.model.FlatTree().AppendBinary(nil)) {
+		t.Fatal("compact decode changed the forest or tree")
 	}
-	// Estimates must be bit-identical through the flat-only model.
+	// Estimates must be bit-identical through the decoded model.
 	for _, rec := range f.a1.Records[:300] {
 		x1 := f.model.Features.FromRecord(rec)
 		x2 := back.Features.FromRecord(rec)
@@ -164,9 +165,9 @@ func smallModel(tb testing.TB) *Model {
 		TrainedAt: time.Date(2016, 6, 15, 0, 0, 0, 0, time.UTC),
 		Features:  feats,
 		Binner:    binner,
-		Forest:    forest,
-		Tree:      forest.RepresentativeTree(X),
 		TimeShift: 1.25,
+		forest:    forest,
+		tree:      forest.Tree(forest.RepresentativeTree(X)),
 	}
 }
 

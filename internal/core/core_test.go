@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -205,8 +203,9 @@ func TestTimeShiftEstimated(t *testing.T) {
 
 // TestTrainIdenticalAtAnyWorkerCount pins the Workers contract: the
 // cross-validation forests and the final one build their trees on
-// goroutines, and neither the compact blob nor the pointer forest and
-// tree behind it may change by a byte or a node.
+// goroutines, and neither the compact blob nor the flat forest and tree
+// behind it, the forest's importance or its out-of-bag error may change
+// by a byte or a bit.
 func TestTrainIdenticalAtAnyWorkerCount(t *testing.T) {
 	f := pipeline(t)
 	train := func(workers int) (*Model, []byte) {
@@ -230,43 +229,29 @@ func TestTrainIdenticalAtAnyWorkerCount(t *testing.T) {
 	if !bytes.Equal(oneBlob, manyBlob) {
 		t.Fatalf("compact model bytes differ between 1 and %d workers", workers)
 	}
-	if len(one.Forest.Trees) != len(many.Forest.Trees) || one.Forest.Classes != many.Forest.Classes {
-		t.Fatalf("forest shape differs between 1 and %d workers", workers)
-	}
-	for i := range one.Forest.Trees {
-		if err := sameTree(one.Forest.Trees[i], many.Forest.Trees[i]); err != nil {
-			t.Fatalf("tree %d at %d workers: %v", i, workers, err)
+	for _, c := range []struct {
+		name      string
+		one, many *mlkit.FlatForest
+	}{
+		{"forest", one.FlatForest(), many.FlatForest()},
+		{"representative tree", one.FlatTree(), many.FlatTree()},
+	} {
+		if !bytes.Equal(c.one.AppendBinary(nil), c.many.AppendBinary(nil)) {
+			t.Fatalf("%s differs between 1 and %d workers", c.name, workers)
 		}
 	}
-	if err := sameTree(one.Tree, many.Tree); err != nil {
-		t.Fatalf("representative tree at %d workers: %v", workers, err)
+	oneImp, manyImp := one.FlatForest().Importance(), many.FlatForest().Importance()
+	if len(oneImp) == 0 || len(oneImp) != len(manyImp) {
+		t.Fatalf("importance over %d and %d features", len(oneImp), len(manyImp))
 	}
-}
-
-// sameTree compares two pointer trees node for node: split feature,
-// threshold bits, leaf flag and leaf class counts.
-func sameTree(a, b *mlkit.Tree) error {
-	if a.Classes != b.Classes {
-		return fmt.Errorf("classes %d, want %d", b.Classes, a.Classes)
+	for i := range oneImp {
+		if math.Float64bits(oneImp[i]) != math.Float64bits(manyImp[i]) {
+			t.Fatalf("importance[%d] %v at 1 worker, %v at %d", i, oneImp[i], manyImp[i], workers)
+		}
 	}
-	var walk func(path string, x, y *mlkit.Node) error
-	walk = func(path string, x, y *mlkit.Node) error {
-		if (x == nil) != (y == nil) {
-			return fmt.Errorf("node %q: one side is nil", path)
-		}
-		if x == nil {
-			return nil
-		}
-		if x.Feature != y.Feature || math.Float64bits(x.Threshold) != math.Float64bits(y.Threshold) ||
-			x.Leaf != y.Leaf || !slices.Equal(x.Counts, y.Counts) {
-			return fmt.Errorf("node %q: %+v, want %+v", path, *y, *x)
-		}
-		if err := walk(path+"L", x.Left, y.Left); err != nil {
-			return err
-		}
-		return walk(path+"R", x.Right, y.Right)
+	if a, b := one.FlatForest().OOBError(), many.FlatForest().OOBError(); math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("OOB error %v at 1 worker, %v at %d", a, b, workers)
 	}
-	return walk("", a.Root, b.Root)
 }
 
 // TestValidationStop: Stop ends a cross-validation nobody will read at
@@ -288,8 +273,8 @@ func TestValidationStop(t *testing.T) {
 		t.Fatalf("Wait after Stop = %v, want context.Canceled", err)
 	}
 	// Stopping the folds leaves the served model whole.
-	if m.Forest == nil || m.Tree == nil || m.Metrics.OOBError <= 0 {
-		t.Fatalf("stopped model: forest %v, tree %v, OOB error %v", m.Forest != nil, m.Tree != nil, m.Metrics.OOBError)
+	if m.FlatForest() == nil || m.FlatTree() == nil || m.Metrics.OOBError <= 0 {
+		t.Fatalf("stopped model: forest %v, tree %v, OOB error %v", m.FlatForest() != nil, m.FlatTree() != nil, m.Metrics.OOBError)
 	}
 }
 

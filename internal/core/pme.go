@@ -18,16 +18,13 @@ import (
 // the browser extension decodes and applies locally. Both the full forest
 // and its most representative single tree travel with the model; clients
 // on constrained devices may apply just the tree ("the model M (in the
-// form of a decision tree)").
+// form of a decision tree)"). A trained and a decoded model hold the
+// same flat forest and tree.
 type Model struct {
 	Version   int
 	TrainedAt time.Time
 	Features  *SFeatures
 	Binner    *mlkit.Binner
-	// Forest and Tree are the pointer trees training builds. A decoded
-	// model has neither: it carries their flat engines only.
-	Forest *mlkit.Forest
-	Tree   *mlkit.Tree
 	// TimeShift is the multiplicative 2015→campaign-time price correction
 	// estimated from cleartext campaigns (§6.2): median(A2)/median(D).
 	TimeShift float64
@@ -40,14 +37,7 @@ type Model struct {
 	// nil for decoded and retrained models.
 	CV *Validation
 
-	// flatForest/flatTree carry the inference engines of a compact-blob
-	// decode, which ships no pointer nodes at all. Models that do have a
-	// pointer Forest/Tree always compile through it instead (the cache
-	// lives on the forest, see FlatForest), so a clone whose forest was
-	// replaced — the retrain loop does exactly that — can never serve a
-	// stale flat form.
-	flatForest *mlkit.FlatForest
-	flatTree   *mlkit.FlatForest
+	forest, tree *mlkit.FlatForest
 }
 
 // ModelMetrics is a model's quality bundle in serializable form: the
@@ -112,29 +102,34 @@ func (m *Model) CloneWithVersion(version int, trainedAt time.Time) *Model {
 	return &c
 }
 
-// FlatForest returns the model's compiled SoA inference engine: the
-// pointer forest's cached flat form when one exists (compiled once at
-// train time), else the engine a compact-blob decode shipped. Nil only
-// for models with no forest at all.
-func (m *Model) FlatForest() *mlkit.FlatForest {
-	if m.Forest != nil {
-		return m.Forest.Flat()
+// Retrained returns a copy of m, version unset, that serves forest —
+// trained on X with the labels binner gives their prices — with its
+// representative tree and its own metrics. The features and time shift
+// are m's; the cross-validation, which graded m, is dropped.
+func (m *Model) Retrained(binner *mlkit.Binner, forest *mlkit.FlatForest, X [][]float64) *Model {
+	c := *m
+	c.Version, c.TrainedAt = 0, time.Time{}
+	c.Binner = binner
+	c.forest, c.tree = forest, forest.Tree(forest.RepresentativeTree(X))
+	c.Metrics = ModelMetrics{
+		OOBError:  forest.OOBError(),
+		Classes:   binner.Classes(),
+		TrainSize: len(X),
 	}
-	return m.flatForest
+	c.CV = nil
+	return &c
 }
 
-// FlatTree is FlatForest for the representative single tree.
-func (m *Model) FlatTree() *mlkit.FlatForest {
-	if m.Tree != nil {
-		return m.Tree.Flat()
-	}
-	return m.flatTree
-}
+// FlatForest returns the model's forest. Nil only for a model built
+// without one.
+func (m *Model) FlatForest() *mlkit.FlatForest { return m.forest }
+
+// FlatTree returns the model's representative tree, as a one-tree
+// FlatForest; nil if the model carries none.
+func (m *Model) FlatTree() *mlkit.FlatForest { return m.tree }
 
 // EstimateCPM estimates an encrypted charge price from its S vector using
-// the forest's predicted class representative. Prediction runs on the
-// flat-compiled forest (bit-identical to the pointer walk, an order of
-// magnitude cheaper).
+// the forest's predicted class representative.
 func (m *Model) EstimateCPM(x []float64) float64 {
 	return m.Binner.Representative(m.FlatForest().Predict(x))
 }
@@ -257,10 +252,10 @@ func (p *PME) Train(records []campaign.Record, cfg TrainConfig) (*Model, error) 
 	// The served forest's trees take the workers first; the
 	// representative tree is picked on the goroutine that finishes the
 	// last of them, and the folds follow.
-	var tree *mlkit.Tree
+	var tree *mlkit.FlatForest
 	ctx, stop := context.WithCancel(context.Background())
 	forest, run, err := mlkit.StartForestCV(ctx, X, y, binner.Classes(), folds, runs, fcfg,
-		func(f *mlkit.Forest) { tree = f.RepresentativeTree(X) })
+		func(f *mlkit.FlatForest) { tree = f.Tree(f.RepresentativeTree(X)) })
 	if err != nil {
 		stop()
 		return nil, err
@@ -289,11 +284,11 @@ func (p *PME) Train(records []campaign.Record, cfg TrainConfig) (*Model, error) 
 		TrainedAt: time.Date(2016, 6, 15, 0, 0, 0, 0, time.UTC),
 		Features:  feats,
 		Binner:    binner,
-		Forest:    forest,
-		Tree:      tree,
 		TimeShift: shift,
 		Metrics:   metrics,
 		CV:        &Validation{metrics: metrics, folds: folds, runs: runs, run: run, stop: stop},
+		forest:    forest,
+		tree:      tree,
 	}, nil
 }
 

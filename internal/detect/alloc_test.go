@@ -38,7 +38,9 @@ func allocModel(tb testing.TB) *core.Model {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &core.Model{Version: 1, Features: feats, Binner: binner, Forest: forest}
+	m := (&core.Model{Features: feats}).Retrained(binner, forest, X)
+	m.Version = 1
+	return m
 }
 
 const (

@@ -65,7 +65,7 @@ func CrossValidateForest(X [][]float64, y []int, classes, k, runs int,
 // once the forest is trained, on the pool goroutine that finished it,
 // before TrainForestCV returns.
 func TrainForestCV(X [][]float64, y []int, classes, k, runs int,
-	cfg ForestConfig, then func(*Forest)) (*Forest, Report, error) {
+	cfg ForestConfig, then func(*FlatForest)) (*FlatForest, Report, error) {
 	f, cv, err := StartForestCV(context.Background(), X, y, classes, k, runs, cfg, then)
 	if err != nil {
 		return nil, Report{}, err
@@ -88,7 +88,7 @@ func TrainForestCV(X [][]float64, y []int, classes, k, runs int,
 // fold it is on, takes no other, and the run reports ctx.Err(). The
 // served forest is always finished.
 func StartForestCV(ctx context.Context, X [][]float64, y []int, classes, k, runs int,
-	cfg ForestConfig, then func(*Forest)) (*Forest, *CVRun, error) {
+	cfg ForestConfig, then func(*FlatForest)) (*FlatForest, *CVRun, error) {
 	return crossValidate(ctx, X, y, classes, k, runs, cfg, true, then)
 }
 
@@ -125,7 +125,7 @@ func (r *CVRun) Wait(ctx context.Context) (Report, error) {
 // The pool runs on its own goroutines; crossValidate waits only for the
 // served forest (with serve) or for nothing.
 func crossValidate(ctx context.Context, X [][]float64, y []int, classes, k, runs int,
-	cfg ForestConfig, serve bool, then func(*Forest)) (*Forest, *CVRun, error) {
+	cfg ForestConfig, serve bool, then func(*FlatForest)) (*FlatForest, *CVRun, error) {
 	cols, err := newColumns(X, y, classes)
 	if err != nil {
 		return nil, nil, err
@@ -154,6 +154,7 @@ func crossValidate(ctx context.Context, X [][]float64, y []int, classes, k, runs
 	// then dropped, and with it the closure's hold on X and then.
 	trees := 0
 	var job *forestJob
+	var forest *FlatForest
 	var treesLeft atomic.Int64
 	var ready func()
 	readyCh := make(chan struct{})
@@ -162,9 +163,9 @@ func crossValidate(ctx context.Context, X [][]float64, y []int, classes, k, runs
 		job = newForestJob(cols, cfg)
 		treesLeft.Store(int64(trees))
 		ready = func() {
-			job.finish(X)
+			forest = job.finish(X)
 			if then != nil {
-				then(job.f)
+				then(forest)
 			}
 		}
 	}
@@ -206,7 +207,7 @@ func crossValidate(ctx context.Context, X [][]float64, y []int, classes, k, runs
 		return nil, cv, nil
 	}
 	<-readyCh
-	return job.f, cv, nil
+	return forest, cv, nil
 }
 
 // meanReport averages the fold reports and sums their confusions, in
@@ -236,12 +237,15 @@ func meanReport(reps []Report, classes int) Report {
 }
 
 // foldScratch is one pool goroutine's buffers for validateFold: the
-// bootstrap counts, indexed by row of the full column set, and the
-// fold's test rows rebuilt from the rank columns.
+// bootstrap counts, indexed by row of the full column set, the fold's
+// test rows rebuilt from the rank columns, the tree being scored, laid
+// out flat, and its class per test row.
 type foldScratch struct {
 	w    []int32
 	vals []float64
 	rows [][]float64
+	tree FlatForest
+	cls  []int32
 }
 
 // validateFold streams one fold's forest of `trees` trees through b and
@@ -250,9 +254,10 @@ type foldScratch struct {
 // ascending row order. The test rows are rebuilt from the rank columns,
 // row[f] = dict[f][rank[f][r]]: exactly the X values, since each
 // dictionary value is the value its rank stands for (NaN is rejected).
-// The report rebuilds the forest's votes exactly as FlatForest.Predict
-// and PredictProbaInto count them: argmax with ties to the lower class,
-// and vote shares of votes/trees.
+// Each tree is laid out flat and walks the test rows four at a time, as
+// in the forest the fold's rows would train. The report counts the
+// forest's votes as FlatForest.Predict does — argmax with ties to the
+// lower class — and scores vote shares of votes/trees.
 func validateFold(b *treeBuilder, s *foldScratch, fold Fold, seed int64, trees int) Report {
 	cols := b.cols
 	classes, d := cols.classes, len(cols.dict)
@@ -264,6 +269,7 @@ func validateFold(b *treeBuilder, s *foldScratch, fold Fold, seed int64, trees i
 	if cap(s.vals) < len(test)*d {
 		s.vals = make([]float64, len(test)*d)
 		s.rows = make([][]float64, len(test))
+		s.cls = make([]int32, len(test))
 	}
 	rows := s.rows[:len(test)]
 	for i, r := range test {
@@ -277,14 +283,17 @@ func validateFold(b *treeBuilder, s *foldScratch, fold Fold, seed int64, trees i
 	rng := stats.NewRand(seed)
 	m := len(fold.TrainIdx)
 	votes := make([]int, len(test)*classes)
+	tree := &s.tree
 	for range trees {
 		clear(w)
 		for range m {
 			w[fold.TrainIdx[rng.Intn(m)]]++
 		}
-		tree := b.grow(w, rng.Int63())
-		for i, row := range rows {
-			votes[i*classes+tree.Predict(row)]++
+		root := b.grow(w, rng.Int63())
+		tree.Feats, tree.Kids, tree.Thrs = tree.Feats[:0], tree.Kids[:0], tree.Thrs[:0]
+		tree.walkRows(s.cls, appendTree(tree, root), rows)
+		for i, c := range s.cls[:len(rows)] {
+			votes[i*classes+int(c)]++
 		}
 	}
 

@@ -135,16 +135,14 @@ func TestStartForestCVReadyFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 		calls := 0
-		forest, cv, err := StartForestCV(context.Background(), X, y, 4, 10, 1, cfg, func(*Forest) { calls++ })
+		forest, cv, err := StartForestCV(context.Background(), X, y, 4, 10, 1, cfg, func(*FlatForest) { calls++ })
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if calls != 1 {
 			t.Fatalf("%s: callback ran %d times before StartForestCV returned", name, calls)
 		}
-		for i := range ref.Trees {
-			sameNodes(t, fmt.Sprintf("%s tree %d:", name, i), forest.Trees[i].Root, ref.Trees[i].Root)
-		}
+		sameFlat(t, name, forest, ref)
 		sameBits(t, name+" importance", forest.importance, ref.importance)
 		if math.Float64bits(forest.OOBError()) != math.Float64bits(ref.OOBError()) {
 			t.Fatalf("%s: OOB %v, want %v", name, forest.OOBError(), ref.OOBError())
@@ -178,7 +176,7 @@ func TestStartForestCVCancel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(forest.Trees) != 4 || forest.Trees[3] == nil {
+		if len(forest.Roots) != 4 {
 			t.Fatalf("workers=%d: forest not finished", workers)
 		}
 		if _, err := cv.Wait(ctx); !errors.Is(err, context.Canceled) {
@@ -190,7 +188,7 @@ func TestStartForestCVCancel(t *testing.T) {
 		}
 
 		ctx, cancel = context.WithCancel(context.Background())
-		_, cv, err = StartForestCV(ctx, X, y, 4, 10, 1, cfg, func(*Forest) { cancel() })
+		_, cv, err = StartForestCV(ctx, X, y, 4, 10, 1, cfg, func(*FlatForest) { cancel() })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +216,7 @@ func TestStartForestCVReleasesX(t *testing.T) {
 	n := int64(len(X))
 	cfg := ForestConfig{Trees: 10, MaxDepth: 24, MinLeaf: 1, Seed: 38, Workers: 2}
 	_, cv, err := StartForestCV(context.Background(), X, y, 4, 10, 3, cfg,
-		func(f *Forest) { f.RepresentativeTree(X) })
+		func(f *FlatForest) { f.RepresentativeTree(X) })
 	if err != nil {
 		t.Fatal(err)
 	}

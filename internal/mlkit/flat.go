@@ -8,27 +8,24 @@ import (
 	"sync"
 )
 
-// FlatForest is a trained forest compiled into contiguous
-// structure-of-arrays storage: one int32 feature index, one int32 child
-// index and one float64 threshold per node — 16 bytes — with every
-// tree laid out breadth-first back-to-back. Traversal touches three
-// dense arrays instead of chasing heap-scattered *Node structs, which
-// is what makes the per-impression estimate path cache-resident.
+// FlatForest is a random forest — or, with one root, a single tree —
+// in contiguous structure-of-arrays storage: one int32 feature index,
+// one int32 child index and one float64 threshold per node — 16 bytes —
+// with every tree laid out breadth-first, back to back in root order.
+// It is the one form of a model: TrainForest emits it, the compact blob
+// carries it and every estimate walks it. Traversal touches three dense
+// arrays instead of chasing heap-scattered nodes, which is what makes
+// the per-impression estimate path cache-resident.
 //
 // Node encoding:
 //
 //   - Feats[i] >= 0: internal node splitting on x[Feats[i]] <= Thrs[i];
 //     the left child is Kids[i], the right child Kids[i]+1 (breadth-first
 //     layout makes siblings adjacent).
-//   - Feats[i] < 0: leaf; Kids[i] holds the precomputed argmax class of
-//     the training counts (ties to the lower class index, exactly like
-//     Tree.Predict).
+//   - Feats[i] < 0: leaf; Kids[i] holds the class its training samples
+//     vote for (most weight, ties to the lower class index).
 //
-// A nil child in a hand-built pointer tree compiles to a synthetic
-// class-0 leaf, matching the pointer walk's nil → zero-counts → class-0
-// fallback, so predictions are bit-identical by construction.
-//
-// A FlatForest is immutable after Compile/decode and safe for
+// A FlatForest is immutable once trained or decoded and safe for
 // concurrent use.
 type FlatForest struct {
 	Classes int
@@ -36,18 +33,18 @@ type FlatForest struct {
 	Feats   []int32 // split feature, or <0 for a leaf
 	Kids    []int32 // left-child index (internal) or class (leaf)
 	Thrs    []float64
+
+	// oobError and importance (unnormalized) are known for a forest
+	// TrainForest returned; a decoded forest has neither.
+	oobError   float64
+	importance []float64
 }
 
-// NumTrees returns the ensemble size.
-func (ff *FlatForest) NumTrees() int { return len(ff.Roots) }
-
-// NodeCount returns the total node count across all trees (synthetic
-// leaves included).
+// NodeCount returns the total node count across all trees.
 func (ff *FlatForest) NodeCount() int { return len(ff.Feats) }
 
 // walk descends from node i to a leaf and returns its class. NaN
-// feature values fail the <= comparison and branch right, exactly like
-// the pointer walk.
+// feature values fail the <= comparison and branch right.
 func (ff *FlatForest) walk(i int32, x []float64) int32 {
 	feats, kids, thrs := ff.Feats, ff.Kids, ff.Thrs
 	for {
@@ -189,109 +186,66 @@ func (ff *FlatForest) PredictInto(dst []int, X [][]float64) {
 	votesPool.Put(vp)
 }
 
-// PredictProbaInto writes the vote-share class distribution for x into
-// dst[:Classes] without allocating: each tree's vote count divided by
-// the tree count.
-func (ff *FlatForest) PredictProbaInto(dst []float64, x []float64) {
-	dst = dst[:ff.Classes]
-	for c := range dst {
-		dst[c] = 0
-	}
-	if len(ff.Roots) == 0 {
-		return
-	}
-	for _, root := range ff.Roots {
-		dst[ff.walk(root, x)]++
-	}
-	for c := range dst {
-		dst[c] /= float64(len(ff.Roots))
-	}
-}
-
-// leafClass precomputes the argmax the pointer walk would compute at a
-// leaf: highest count, ties to the lower class index; a nil node or
-// nil counts yield class 0 (the zero-counts fallback of PredictCounts).
-func leafClass(n *Node) int32 {
-	if n == nil {
-		return 0
-	}
-	best, bestN := 0, -1
-	for c, v := range n.Counts {
-		if v > bestN {
-			best, bestN = c, v
-		}
-	}
-	return int32(best)
-}
-
-// appendTree lays out one pointer tree breadth-first at the end of ff's
+// appendTree lays out a built tree breadth-first at the end of ff's
 // arrays and returns its root index. Siblings are enqueued together, so
-// a node's right child is always left+1.
-func appendTree(ff *FlatForest, root *Node) int32 {
+// a node's right child is always left+1. A nil child (only a hand-built
+// tree has one) becomes a class-0 leaf.
+func appendTree(ff *FlatForest, root *node) int32 {
 	base := int32(len(ff.Feats))
-	nodes := []*Node{root}
+	nodes := []*node{root}
 	ff.Feats = append(ff.Feats, 0)
 	ff.Kids = append(ff.Kids, 0)
 	ff.Thrs = append(ff.Thrs, 0)
 	for qi := 0; qi < len(nodes); qi++ {
 		n := nodes[qi]
 		i := base + int32(qi)
-		if n == nil || n.Leaf {
+		if n == nil || n.leaf {
 			ff.Feats[i] = -1
-			ff.Kids[i] = leafClass(n)
+			if n != nil {
+				ff.Kids[i] = n.class
+			}
 			continue
 		}
 		left := int32(len(ff.Feats))
 		ff.Feats = append(ff.Feats, 0, 0)
 		ff.Kids = append(ff.Kids, 0, 0)
 		ff.Thrs = append(ff.Thrs, 0, 0)
-		nodes = append(nodes, n.Left, n.Right)
-		ff.Feats[i] = int32(n.Feature)
+		nodes = append(nodes, n.left, n.right)
+		ff.Feats[i] = int32(n.feature)
 		ff.Kids[i] = left
-		ff.Thrs[i] = n.Threshold
+		ff.Thrs[i] = n.threshold
 	}
 	return base
 }
 
-// Compile flattens the forest into its SoA form. Most callers want
-// Flat, which compiles once and caches.
-func (f *Forest) Compile() *FlatForest {
-	ff := &FlatForest{Classes: f.Classes, Roots: make([]int32, 0, len(f.Trees))}
-	for _, t := range f.Trees {
-		ff.Roots = append(ff.Roots, appendTree(ff, t.Root))
+// appendNodes copies src's nodes [lo, hi) — whole trees — to the end of
+// ff, moving internal nodes' child indices with them, and returns the
+// index node lo lands at.
+func (ff *FlatForest) appendNodes(src *FlatForest, lo, hi int32) int32 {
+	at := int32(len(ff.Feats))
+	ff.Feats = append(ff.Feats, src.Feats[lo:hi]...)
+	ff.Thrs = append(ff.Thrs, src.Thrs[lo:hi]...)
+	for i := lo; i < hi; i++ {
+		k := src.Kids[i]
+		if src.Feats[i] >= 0 {
+			k += at - lo
+		}
+		ff.Kids = append(ff.Kids, k)
 	}
-	return ff
+	return at
 }
 
-// flatOnce caches a compiled FlatForest on the trained structure it was
-// compiled from. The cache lives on *Forest/*Tree — never on a model
-// wrapper — so replacing a model's forest (the retrain loop clones a
-// model and swaps in freshly trained components) can never serve a
-// stale flat form: a new forest always compiles its own.
-type flatOnce struct {
-	once sync.Once
-	ff   *FlatForest
-}
-
-// Flat returns the forest's compiled SoA form, compiling on first use
-// and caching thereafter. Safe for concurrent use; the warm path is one
-// atomic load.
-func (f *Forest) Flat() *FlatForest {
-	f.flat.once.Do(func() { f.flat.ff = f.Compile() })
-	return f.flat.ff
-}
-
-// Flat returns the tree compiled as a single-member FlatForest (one
-// root; Predict reduces to that tree's class), compiled once and
-// cached — the form constrained clients run when the forest is too
-// heavy.
-func (t *Tree) Flat() *FlatForest {
-	t.flat.once.Do(func() {
-		ff := &FlatForest{Classes: t.Classes}
-		ff.Roots = append(ff.Roots, appendTree(ff, t.Root))
-		t.flat.ff = ff
-	})
-	return t.flat.ff
+// Tree returns tree t of the forest as a single-tree FlatForest rooted
+// at node 0 — the form constrained clients run when the forest is too
+// heavy. Its nodes are tree t's, from its root up to the next tree's.
+func (ff *FlatForest) Tree(t int) *FlatForest {
+	hi := int32(len(ff.Feats))
+	if t+1 < len(ff.Roots) {
+		hi = ff.Roots[t+1]
+	}
+	tree := &FlatForest{Classes: ff.Classes, Roots: []int32{0}}
+	tree.appendNodes(ff, ff.Roots[t], hi)
+	return tree
 }
 
 // --- binary codec ---

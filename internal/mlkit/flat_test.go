@@ -1,6 +1,7 @@
 package mlkit
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -12,20 +13,13 @@ import (
 // exactly on thresholds harvested from the trained forest (the x ==
 // Threshold boundary is where a flat/pointer comparison divergence
 // would hide).
-func fuzzVectors(f *Forest, dim, n int, seed int64) [][]float64 {
+func fuzzVectors(ff *FlatForest, dim, n int, seed int64) [][]float64 {
 	rng := stats.NewRand(seed)
 	var thresholds []float64
-	var collect func(nd *Node)
-	collect = func(nd *Node) {
-		if nd == nil || nd.Leaf {
-			return
+	for i, ft := range ff.Feats {
+		if ft >= 0 {
+			thresholds = append(thresholds, ff.Thrs[i])
 		}
-		thresholds = append(thresholds, nd.Threshold)
-		collect(nd.Left)
-		collect(nd.Right)
-	}
-	for _, t := range f.Trees {
-		collect(t.Root)
 	}
 	X := make([][]float64, n)
 	for i := range X {
@@ -52,23 +46,31 @@ func fuzzVectors(f *Forest, dim, n int, seed int64) [][]float64 {
 	return X
 }
 
-func TestFlatForestEquivalence(t *testing.T) {
-	X, y := noisyData(800, 21)
-	f, err := TrainForest(X, y, 3, ForestConfig{Trees: 25, Seed: 22})
+// trainBoth trains TrainForest's forest and the reference's pointer
+// forest — the same trees (TestForestMatchesReference) — so the flat
+// walks can be checked against the pointer walk.
+func trainBoth(t testing.TB, X [][]float64, y []int, classes int, cfg ForestConfig) (*FlatForest, *refForest) {
+	t.Helper()
+	ff, err := TrainForest(X, y, classes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff := f.Flat()
-	if ff.NumTrees() != len(f.Trees) {
-		t.Fatalf("NumTrees = %d, want %d", ff.NumTrees(), len(f.Trees))
+	return ff, refTrainForest(X, y, classes, cfg)
+}
+
+func TestFlatForestEquivalence(t *testing.T) {
+	X, y := noisyData(800, 21)
+	ff, ref := trainBoth(t, X, y, 3, ForestConfig{Trees: 25, Seed: 22})
+	if len(ff.Roots) != len(ref.trees) {
+		t.Fatalf("%d trees, want %d", len(ff.Roots), len(ref.trees))
 	}
-	vecs := fuzzVectors(f, 10, 500, 23)
+	vecs := fuzzVectors(ff, 10, 500, 23)
 	for vi, x := range vecs {
-		if got, want := ff.Predict(x), refForestPredict(f, x); got != want {
+		if got, want := ff.Predict(x), refForestPredict(ref, x); got != want {
 			t.Fatalf("vec %d: flat Predict = %d, pointer = %d", vi, got, want)
 		}
-		for ti, tr := range f.Trees {
-			if got, want := int(ff.walk(ff.Roots[ti], x)), tr.Predict(x); got != want {
+		for ti, tr := range ref.trees {
+			if got, want := int(ff.walk(ff.Roots[ti], x)), tr.predict(x); got != want {
 				t.Fatalf("vec %d tree %d: flat = %d, pointer = %d", vi, ti, got, want)
 			}
 		}
@@ -77,12 +79,11 @@ func TestFlatForestEquivalence(t *testing.T) {
 
 func TestFlatForestProbaEquivalence(t *testing.T) {
 	X, y := noisyData(500, 31)
-	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 17, Seed: 32})
-	ff := f.Flat()
+	ff, ref := trainBoth(t, X, y, 3, ForestConfig{Trees: 17, Seed: 32})
 	dst := make([]float64, 3)
-	for _, x := range fuzzVectors(f, 10, 200, 33) {
-		want := refForestProba(f, x)
-		ff.PredictProbaInto(dst, x)
+	for _, x := range fuzzVectors(ff, 10, 200, 33) {
+		want := refForestProba(ref, x)
+		predictProbaInto(ff, dst, x)
 		for c := range want {
 			// Bit-identical, not approximately equal: same counts, same division.
 			if dst[c] != want[c] {
@@ -97,10 +98,9 @@ func TestFlatForestProbaEquivalence(t *testing.T) {
 // batch larger than one chunk.
 func TestFlatForestBatchMatchesSingle(t *testing.T) {
 	X, y := noisyData(400, 41)
-	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 12, Seed: 42})
-	ff := f.Flat()
+	ff, _ := TrainForest(X, y, 3, ForestConfig{Trees: 12, Seed: 42})
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, 391, 4095, 4096} {
-		vecs := fuzzVectors(f, 10, n, int64(50+n))
+		vecs := fuzzVectors(ff, 10, n, int64(50+n))
 		dst := make([]int, n)
 		ff.PredictInto(dst, vecs)
 		for i, x := range vecs {
@@ -115,19 +115,16 @@ func TestFlatForestBatchMatchesSingle(t *testing.T) {
 // splits on x[k%dim] <= 0.5, each with a leaf of class k%3 on its left.
 // A row of zeros stops at depth 1; a row of ones, NaNs or +Infs runs the
 // whole chain.
-func chainTree(depth, dim int) *Tree {
-	end := &Node{Leaf: true, Counts: []int{1, 0, 2}}
-	next := end
+func chainTree(depth, dim int) *refTree {
+	next := &node{leaf: true, class: 2}
 	for k := depth - 1; k >= 0; k-- {
-		counts := make([]int, 3)
-		counts[k%3] = 1
-		next = &Node{
-			Feature: k % dim, Threshold: 0.5,
-			Left:  &Node{Leaf: true, Counts: counts},
-			Right: next,
+		next = &node{
+			feature: k % dim, threshold: 0.5,
+			left:  &node{leaf: true, class: int32(k % 3)},
+			right: next,
 		}
 	}
-	return &Tree{Classes: 3, Root: next}
+	return &refTree{root: next}
 }
 
 // lanes returns every 4-row group over kinds, concatenated, so each
@@ -166,7 +163,7 @@ func TestFlatLockstepLanes(t *testing.T) {
 	}
 
 	chain := chainTree(12, 3)
-	check("chain", chain.Flat(), chain.Predict, lanes([][]float64{
+	check("chain", chain.flat(3), chain.predict, lanes([][]float64{
 		{0, 0, 0},       // leaf at depth 1
 		{1, 1, 1},       // the whole chain
 		{nan, nan, nan}, // NaN branches right: the whole chain
@@ -177,17 +174,17 @@ func TestFlatLockstepLanes(t *testing.T) {
 	}))
 
 	X, y := noisyData(400, 43)
-	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 9, MaxDepth: 24, MinLeaf: 1, Seed: 44})
+	ff, ref := trainBoth(t, X, y, 3, ForestConfig{Trees: 9, MaxDepth: 24, MinLeaf: 1, Seed: 44})
 	// Each tree's root split, exactly on its threshold.
 	onThr := make([]float64, 10)
-	for _, tr := range f.Trees {
-		onThr[tr.Root.Feature] = tr.Root.Threshold
+	for _, root := range ff.Roots {
+		onThr[ff.Feats[root]] = ff.Thrs[root]
 	}
 	kinds := [][]float64{X[0], X[1], onThr, make([]float64, 10), make([]float64, 10), make([]float64, 10)}
 	for j := range 10 {
 		kinds[3][j], kinds[4][j], kinds[5][j] = nan, inf, -inf
 	}
-	check("forest", f.Flat(), func(x []float64) int { return refForestPredict(f, x) }, lanes(kinds))
+	check("forest", ff, func(x []float64) int { return refForestPredict(ref, x) }, lanes(kinds))
 }
 
 // FuzzFlatPredictInto checks the lockstep batch walk against the
@@ -197,11 +194,10 @@ func TestFlatLockstepLanes(t *testing.T) {
 // branch.
 func FuzzFlatPredictInto(f *testing.F) {
 	X, y := noisyData(300, 111)
-	forest, err := TrainForest(X, y, 3, ForestConfig{Trees: 8, MaxDepth: 24, MinLeaf: 1, Seed: 112})
+	ff, err := TrainForest(X, y, 3, ForestConfig{Trees: 8, MaxDepth: 24, MinLeaf: 1, Seed: 112})
 	if err != nil {
 		f.Fatal(err)
 	}
-	ff := forest.Flat()
 	var thrs []float64
 	for i, ft := range ff.Feats {
 		if ft >= 0 {
@@ -249,32 +245,69 @@ func TestFlatTreeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft := tr.Flat()
-	if ft.NumTrees() != 1 {
-		t.Fatalf("tree flat has %d roots", ft.NumTrees())
+	ft := tr.flat(3)
+	if len(ft.Roots) != 1 {
+		t.Fatalf("tree flat has %d roots", len(ft.Roots))
 	}
 	for _, x := range X {
-		if got, want := ft.Predict(x), tr.Predict(x); got != want {
+		if got, want := ft.Predict(x), tr.predict(x); got != want {
 			t.Fatalf("flat tree %d != pointer %d", got, want)
 		}
 	}
 }
 
-// TestFlatNilChildren pins the synthetic-leaf fallback: a hand-built
-// tree with nil children must compile to the same class-0 fallback the pointer walk computes.
-func TestFlatNilChildren(t *testing.T) {
-	tr := &Tree{
-		Classes: 3,
-		Root: &Node{
-			Feature:   0,
-			Threshold: 0.5,
-			Left:      nil, // pointer walk: nil → zero counts → class 0
-			Right:     &Node{Leaf: true, Counts: []int{1, 5, 2}},
+// TestForestTreeLayout pins FlatForest.Tree, the model's single tree:
+// tree t of a forest, rebased to a root at node 0, is byte for byte the
+// tree laid out on its own. A hand-built tree, behind another tree,
+// must come back as its breadth-first layout written out below; every
+// tree of a trained forest as its reference pointer tree laid out
+// alone.
+func TestForestTreeLayout(t *testing.T) {
+	hand := &refTree{root: &node{
+		feature: 1, threshold: 0.5,
+		left: &node{leaf: true, class: 2},
+		right: &node{
+			feature: 0, threshold: -1.5,
+			left: &node{
+				feature: 2, threshold: 3,
+				left:  &node{leaf: true, class: 0},
+				right: &node{leaf: true, class: 1},
+			},
+			right: &node{leaf: true, class: 1},
 		},
+	}}
+	want := &FlatForest{
+		Classes: 3,
+		Roots:   []int32{0},
+		Feats:   []int32{1, -1, 0, 2, -1, -1, -1},
+		Kids:    []int32{1, 2, 3, 5, 1, 0, 1},
+		Thrs:    []float64{0.5, 0, -1.5, 3, 0, 0, 0},
 	}
-	ff := tr.Flat()
+	sameFlat(t, "hand-built tree alone", hand.flat(3), want)
+	two := &refForest{classes: 3, trees: []*refTree{chainTree(5, 3), hand}}
+	ff := two.flat()
+	sameFlat(t, "hand-built tree 1", ff.Tree(1), want)
+	sameFlat(t, "chain tree 0", ff.Tree(0), two.trees[0].flat(3))
+
+	X, y := noisyData(300, 53)
+	trained, ref := trainBoth(t, X, y, 3, ForestConfig{Trees: 6, MaxDepth: 24, MinLeaf: 1, Seed: 54})
+	for i, tr := range ref.trees {
+		sameFlat(t, fmt.Sprintf("trained tree %d", i), trained.Tree(i), tr.flat(3))
+	}
+}
+
+// TestFlatNilChildren pins the synthetic-leaf fallback: a hand-built
+// tree with nil children must lay out to the same class-0 fallback the pointer walk computes.
+func TestFlatNilChildren(t *testing.T) {
+	tr := &refTree{root: &node{
+		feature:   0,
+		threshold: 0.5,
+		left:      nil, // pointer walk: nil → class 0
+		right:     &node{leaf: true, class: 1},
+	}}
+	ff := tr.flat(3)
 	for _, x := range [][]float64{{0.1}, {0.5}, {0.9}, {math.NaN()}} {
-		if got, want := ff.Predict(x), tr.Predict(x); got != want {
+		if got, want := ff.Predict(x), tr.predict(x); got != want {
 			t.Fatalf("x=%v: flat %d, pointer %d", x, got, want)
 		}
 	}
@@ -282,8 +315,7 @@ func TestFlatNilChildren(t *testing.T) {
 
 func TestFlatForestBinaryRoundTrip(t *testing.T) {
 	X, y := noisyData(600, 61)
-	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 15, Seed: 62})
-	ff := f.Flat()
+	ff, _ := TrainForest(X, y, 3, ForestConfig{Trees: 15, Seed: 62})
 	blob := ff.AppendBinary(nil)
 	if len(blob) != ff.BinarySize() {
 		t.Fatalf("encoded %d bytes, BinarySize says %d", len(blob), ff.BinarySize())
@@ -295,7 +327,7 @@ func TestFlatForestBinaryRoundTrip(t *testing.T) {
 	if n != len(blob) {
 		t.Fatalf("consumed %d of %d bytes", n, len(blob))
 	}
-	for _, x := range fuzzVectors(f, 10, 300, 63) {
+	for _, x := range fuzzVectors(ff, 10, 300, 63) {
 		if got, want := dec.Predict(x), ff.Predict(x); got != want {
 			t.Fatalf("decoded %d != original %d", got, want)
 		}
@@ -304,8 +336,8 @@ func TestFlatForestBinaryRoundTrip(t *testing.T) {
 
 func TestDecodeFlatForestRejectsCorruption(t *testing.T) {
 	X, y := noisyData(200, 71)
-	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 5, Seed: 72})
-	blob := f.Flat().AppendBinary(nil)
+	ff, _ := TrainForest(X, y, 3, ForestConfig{Trees: 5, Seed: 72})
+	blob := ff.AppendBinary(nil)
 
 	// Truncations at every boundary must error, never panic.
 	for _, n := range []int{0, 4, 11, 12, 20, len(blob) - 1} {
@@ -330,7 +362,6 @@ func TestDecodeFlatForestRejectsCorruption(t *testing.T) {
 	}
 	// A backward child pointer would make the walk loop forever.
 	if err := corrupt(func(b []byte) {
-		ff := f.Flat()
 		// First internal node's kid → itself.
 		for i, ft := range ff.Feats {
 			if ft >= 0 {
@@ -346,8 +377,7 @@ func TestDecodeFlatForestRejectsCorruption(t *testing.T) {
 
 func TestFlatPredictZeroAlloc(t *testing.T) {
 	X, y := noisyData(300, 81)
-	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 10, Seed: 82})
-	ff := f.Flat()
+	ff, _ := TrainForest(X, y, 3, ForestConfig{Trees: 10, Seed: 82})
 	x := X[0]
 	if n := testing.AllocsPerRun(100, func() { ff.Predict(x) }); n != 0 {
 		t.Errorf("Predict allocates %.1f per op", n)
@@ -357,25 +387,21 @@ func TestFlatPredictZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { ff.PredictInto(dst, batch) }); n != 0 {
 		t.Errorf("PredictInto allocates %.1f per op", n)
 	}
-	proba := make([]float64, 3)
-	if n := testing.AllocsPerRun(100, func() { ff.PredictProbaInto(proba, x) }); n != 0 {
-		t.Errorf("PredictProbaInto allocates %.1f per op", n)
-	}
 }
 
-// TestForestPredictProbaInto: PredictProbaInto overwrites a reused,
-// dirty buffer — no vote share leaks from one row into the next.
+// TestForestPredictProbaInto: predictProbaInto, the vote shares the
+// cross-validation reference scores, overwrites a reused, dirty buffer —
+// no vote share leaks from one row into the next.
 func TestForestPredictProbaInto(t *testing.T) {
 	X, y := noisyData(300, 91)
-	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 10, Seed: 92})
-	ff := f.Flat()
+	ff, ref := trainBoth(t, X, y, 3, ForestConfig{Trees: 10, Seed: 92})
 	dst := []float64{7, -1, math.NaN()}
 	for _, x := range X[:50] {
-		ff.PredictProbaInto(dst, x)
-		want := refForestProba(f, x)
+		predictProbaInto(ff, dst, x)
+		want := refForestProba(ref, x)
 		for c := range want {
 			if dst[c] != want[c] {
-				t.Fatalf("PredictProbaInto class %d: %v != %v", c, dst[c], want[c])
+				t.Fatalf("predictProbaInto class %d: %v != %v", c, dst[c], want[c])
 			}
 		}
 	}
@@ -383,20 +409,11 @@ func TestForestPredictProbaInto(t *testing.T) {
 
 func BenchmarkForestPredict(b *testing.B) {
 	X, y := noisyData(2000, 101)
-	f, err := TrainForest(X, y, 3, ForestConfig{Trees: 50, Seed: 102})
+	ff, err := TrainForest(X, y, 3, ForestConfig{Trees: 50, Seed: 102})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ff := f.Flat()
-	vecs := fuzzVectors(f, 10, 512, 103)
-	b.Run("pointer", func(b *testing.B) {
-		b.ReportAllocs()
-		sink := 0
-		for i := 0; i < b.N; i++ {
-			sink += refForestPredict(f, vecs[i%len(vecs)])
-		}
-		_ = sink
-	})
+	vecs := fuzzVectors(ff, 10, 512, 103)
 	b.Run("flat", func(b *testing.B) {
 		b.ReportAllocs()
 		sink := 0

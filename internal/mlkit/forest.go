@@ -52,22 +52,13 @@ func isqrt(n int) int {
 	return r
 }
 
-// Forest is a trained random-forest classifier — the model family the
-// paper selects because "it takes into account the target variable, can
-// be trained quickly on large datasets, maintains interpretability of
-// features and generally does not overfit" (§5.1).
-type Forest struct {
-	Trees   []*Tree
-	Classes int
-
-	oobError   float64
-	importance []float64
-	flat       flatOnce
-}
-
-// TrainForest trains a random forest on X with labels y in [0, classes).
-// Features must not be NaN.
-func TrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) (*Forest, error) {
+// TrainForest trains a random forest — the model family the paper
+// selects because "it takes into account the target variable, can be
+// trained quickly on large datasets, maintains interpretability of
+// features and generally does not overfit" (§5.1) — on X with labels y
+// in [0, classes), and returns it in flat form with its out-of-bag error
+// and importance. Features must not be NaN.
+func TrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) (*FlatForest, error) {
 	cols, err := newColumns(X, y, classes)
 	if err != nil {
 		return nil, err
@@ -79,8 +70,7 @@ func TrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) (*Forest
 		b := newTreeBuilder(cols, tcfg)
 		return func(t int) { j.grow(b, t) }
 	})
-	j.finish(X)
-	return j.f, nil
+	return j.finish(X), nil
 }
 
 // treeConfig is the per-tree configuration of a defaulted forest config;
@@ -119,25 +109,24 @@ func runTasks(workers, n int, newWorker func() func(task int)) {
 // would draw them, so the trees can then be grown in any order, on any
 // goroutine, without changing one of them. A sample is kept as per-row
 // draw counts; rows a tree never drew (weight 0) are its out-of-bag
-// rows.
+// rows. Each tree is laid out flat on its own as soon as it is grown;
+// finish joins them in tree order.
 type forestJob struct {
-	f       *Forest
-	n       int
-	weights []int32 // tree t's draw counts are weights[t*n : (t+1)*n]
-	seeds   []int64
-	cols    *columns
+	n          int
+	weights    []int32 // tree t's draw counts are weights[t*n : (t+1)*n]
+	seeds      []int64
+	cols       *columns
+	trees      []*FlatForest // tree t alone, rooted at node 0
+	importance [][]float64   // tree t's unnormalized importance
 }
 
 func newForestJob(cols *columns, cfg ForestConfig) *forestJob {
 	rng := stats.NewRand(cfg.Seed)
 	n := len(cols.y)
 	j := &forestJob{
-		f: &Forest{
-			Classes: cols.classes, Trees: make([]*Tree, cfg.Trees),
-			importance: make([]float64, len(cols.dict)),
-		},
 		n: n, weights: make([]int32, cfg.Trees*n), seeds: make([]int64, cfg.Trees),
-		cols: cols,
+		cols:  cols,
+		trees: make([]*FlatForest, cfg.Trees), importance: make([][]float64, cfg.Trees),
 	}
 	for t := range j.seeds {
 		w := j.weights[t*n : (t+1)*n]
@@ -149,31 +138,42 @@ func newForestJob(cols *columns, cfg ForestConfig) *forestJob {
 	return j
 }
 
-// grow builds tree t with b.
+// grow builds tree t with b and lays it out flat.
 func (j *forestJob) grow(b *treeBuilder, t int) {
-	j.f.Trees[t] = b.grow(j.weights[t*j.n:(t+1)*j.n], j.seeds[t])
+	tree := &FlatForest{Classes: j.cols.classes}
+	appendTree(tree, b.grow(j.weights[t*j.n:(t+1)*j.n], j.seeds[t]))
+	j.trees[t], j.importance[t] = tree, b.importance
 }
 
-// finish sums importance and the out-of-bag error in tree order once
+// finish joins the trees, in tree order, into the forest it returns and
+// sums their importance and the out-of-bag error in the same order, once
 // every tree is grown. X is the matrix the columns were built from.
-func (j *forestJob) finish(X [][]float64) {
-	f, n, classes := j.f, j.n, j.cols.classes
-	for _, tree := range f.Trees {
-		for i, v := range tree.importance {
+func (j *forestJob) finish(X [][]float64) *FlatForest {
+	n, classes := j.n, j.cols.classes
+	nodes := 0
+	for _, tree := range j.trees {
+		nodes += len(tree.Feats)
+	}
+	f := &FlatForest{
+		Classes: classes, Roots: make([]int32, 0, len(j.trees)),
+		Feats: make([]int32, 0, nodes), Kids: make([]int32, 0, nodes), Thrs: make([]float64, 0, nodes),
+		importance: make([]float64, len(j.cols.dict)),
+	}
+	for t, tree := range j.trees {
+		f.Roots = append(f.Roots, f.appendNodes(tree, 0, int32(len(tree.Feats))))
+		for i, v := range j.importance[t] {
 			f.importance[i] += v
 		}
 	}
+	j.trees, j.importance = nil, nil
 
-	// Out-of-bag votes, walked through the flat form — compiling here
-	// means every trained forest leaves training with its inference
-	// engine already built and cached. Each tree walks its out-of-bag
-	// rows four at a time.
-	flat := f.Flat()
+	// Out-of-bag votes: each tree walks its out-of-bag rows four at a
+	// time.
 	oobVotes := make([]int, n*classes)
 	oobIdx := make([]int, 0, n)
 	oobRows := make([][]float64, 0, n)
 	cls := make([]int32, n)
-	for t, root := range flat.Roots {
+	for t, root := range f.Roots {
 		w := j.weights[t*n : (t+1)*n]
 		oobIdx, oobRows = oobIdx[:0], oobRows[:0]
 		for i := 0; i < n; i++ {
@@ -182,7 +182,7 @@ func (j *forestJob) finish(X [][]float64) {
 				oobRows = append(oobRows, X[i])
 			}
 		}
-		flat.walkRows(cls, root, oobRows)
+		f.walkRows(cls, root, oobRows)
 		for k, i := range oobIdx {
 			oobVotes[i*classes+int(cls[k])]++
 		}
@@ -212,43 +212,45 @@ func (j *forestJob) finish(X [][]float64) {
 	if counted > 0 {
 		f.oobError = float64(wrong) / float64(counted)
 	}
+	return f
 }
 
 // OOBError returns the out-of-bag misclassification estimate, one of the
-// §5.1 model-selection metrics.
-func (f *Forest) OOBError() float64 { return f.oobError }
+// §5.1 model-selection metrics. It is 0 for a decoded forest.
+func (ff *FlatForest) OOBError() float64 { return ff.oobError }
 
 // Importance returns mean-decrease-in-impurity feature importances,
-// normalized to sum to 1 — the §5.1 dimensionality-reduction signal.
-func (f *Forest) Importance() []float64 {
-	return normalizeImportance(f.importance)
+// normalized to sum to 1 — the §5.1 dimensionality-reduction signal. It
+// is empty for a decoded forest.
+func (ff *FlatForest) Importance() []float64 {
+	return normalizeImportance(ff.importance)
 }
 
-// RepresentativeTree returns the single ensemble member whose training
-// behaviour best matches the forest (highest agreement with forest votes
-// on the provided sample; ties go to the earlier tree) — the portable
-// decision tree the PME distributes to clients. Each tree walks the
-// sample once, four rows at a time, on the flat form; the forest vote
-// (ties to the lower class, as in FlatForest.PredictInto) and every
-// tree's agreement with it are read from those classes.
-func (f *Forest) RepresentativeTree(X [][]float64) *Tree {
-	if len(f.Trees) == 0 {
-		return nil
+// RepresentativeTree returns the index of the single ensemble member
+// whose behaviour best matches the forest (highest agreement with forest
+// votes on the provided sample; ties go to the earlier tree) — the
+// portable decision tree the PME distributes to clients (see Tree). Each
+// tree walks the sample once, four rows at a time; the forest vote (ties
+// to the lower class, as in PredictInto) and every tree's agreement with
+// it are read from those classes. An empty sample picks tree 0, a forest
+// without trees -1.
+func (ff *FlatForest) RepresentativeTree(X [][]float64) int {
+	if len(ff.Roots) == 0 {
+		return -1
 	}
 	n := len(X)
 	if n == 0 {
-		return f.Trees[0]
+		return 0
 	}
-	flat := f.Flat()
-	cls := make([]int32, len(flat.Roots)*n) // tree t's classes are cls[t*n : (t+1)*n]
-	for t, root := range flat.Roots {
-		flat.walkRows(cls[t*n:(t+1)*n], root, X)
+	cls := make([]int32, len(ff.Roots)*n) // tree t's classes are cls[t*n : (t+1)*n]
+	for t, root := range ff.Roots {
+		ff.walkRows(cls[t*n:(t+1)*n], root, X)
 	}
 	forestPred := make([]int32, n)
-	votes := make([]int32, f.Classes)
+	votes := make([]int32, ff.Classes)
 	for i := range forestPred {
 		clear(votes)
-		for t := range flat.Roots {
+		for t := range ff.Roots {
 			votes[cls[t*n+i]]++
 		}
 		best, bestN := 0, int32(-1)
@@ -260,7 +262,7 @@ func (f *Forest) RepresentativeTree(X [][]float64) *Tree {
 		forestPred[i] = int32(best)
 	}
 	best, bestAgree := 0, -1
-	for t := range f.Trees {
+	for t := range ff.Roots {
 		agree := 0
 		for i, c := range cls[t*n : (t+1)*n] {
 			if c == forestPred[i] {
@@ -271,5 +273,5 @@ func (f *Forest) RepresentativeTree(X [][]float64) *Tree {
 			best, bestAgree = t, agree
 		}
 	}
-	return f.Trees[best]
+	return best
 }

@@ -1,6 +1,7 @@
 package mlkit
 
 import (
+	"bytes"
 	"math"
 	"runtime"
 	"testing"
@@ -76,7 +77,7 @@ func TestForestAccuracy(t *testing.T) {
 	Xt, yt := noisyData(400, 3)
 	correct := 0
 	for i, x := range Xt {
-		if refForestPredict(f, x) == yt[i] {
+		if f.Predict(x) == yt[i] {
 			correct++
 		}
 	}
@@ -93,10 +94,8 @@ func TestForestDeterministic(t *testing.T) {
 	X, y := noisyData(300, 5)
 	a, _ := TrainForest(X, y, 3, ForestConfig{Trees: 10, Seed: 9})
 	b, _ := TrainForest(X, y, 3, ForestConfig{Trees: 10, Seed: 9})
-	for _, x := range X[:50] {
-		if refForestPredict(a, x) != refForestPredict(b, x) {
-			t.Fatal("same seed, different predictions")
-		}
+	if !bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil)) {
+		t.Fatal("same seed, different forests")
 	}
 	if a.OOBError() != b.OOBError() {
 		t.Fatal("same seed, different OOB")
@@ -131,8 +130,9 @@ func TestForestImportanceRanksSignal(t *testing.T) {
 func TestForestProba(t *testing.T) {
 	X, y := noisyData(500, 13)
 	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 20, Seed: 14})
+	p := make([]float64, 3)
 	for _, x := range X[:100] {
-		p := refForestProba(f, x)
+		predictProbaInto(f, p, x)
 		sum := 0.0
 		maxC, maxP := 0, -1.0
 		for c, v := range p {
@@ -147,7 +147,7 @@ func TestForestProba(t *testing.T) {
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("proba sum %v", sum)
 		}
-		if maxC != refForestPredict(f, x) {
+		if maxC != f.Predict(x) {
 			t.Fatal("argmax proba disagrees with Predict")
 		}
 	}
@@ -178,12 +178,13 @@ func TestRepresentativeTree(t *testing.T) {
 	X, y := noisyData(600, 15)
 	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 15, Seed: 16})
 	rep := f.RepresentativeTree(X)
-	if rep == nil {
-		t.Fatal("nil representative")
+	if rep < 0 || rep >= len(f.Roots) {
+		t.Fatalf("representative tree %d of %d", rep, len(f.Roots))
 	}
+	tree := f.Tree(rep)
 	agree := 0
 	for _, x := range X {
-		if rep.Predict(x) == refForestPredict(f, x) {
+		if tree.Predict(x) == f.Predict(x) {
 			agree++
 		}
 	}
@@ -203,22 +204,19 @@ func TestRepresentativeTree(t *testing.T) {
 		{sX, sy, ForestConfig{Trees: 25, MaxDepth: 24, MinLeaf: 1, Seed: 19}},
 		{sX, sy, ForestConfig{Trees: 8, MaxDepth: 1, Seed: 20}},
 	} {
-		f, err := TrainForest(c.X, c.y, 4, c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f, ref := trainBoth(t, c.X, c.y, 4, c.cfg)
 		for _, rows := range [][][]float64{c.X, c.X[:7], c.X[:1]} {
-			if got, want := f.RepresentativeTree(rows), refRepresentativeTree(f, rows); got != want {
-				t.Errorf("seed %d, %d rows: picked tree %p, pointer walk picks %p", c.cfg.Seed, len(rows), got, want)
+			if got, want := f.RepresentativeTree(rows), refRepresentativeTree(ref, rows); got != want {
+				t.Errorf("seed %d, %d rows: picked tree %d, pointer walk picks %d", c.cfg.Seed, len(rows), got, want)
 			}
 		}
 	}
-	if f.RepresentativeTree(nil) == nil {
+	if f.RepresentativeTree(nil) != 0 {
 		t.Error("empty-sample representative should fall back to first tree")
 	}
-	empty := &Forest{Classes: 2}
-	if empty.RepresentativeTree(X) != nil {
-		t.Error("empty forest should return nil")
+	empty := &FlatForest{Classes: 2}
+	if empty.RepresentativeTree(X) != -1 {
+		t.Error("empty forest should return -1")
 	}
 }
 

@@ -124,9 +124,8 @@ func TestWeightedAUCROC(t *testing.T) {
 func TestEvaluateAgainstForest(t *testing.T) {
 	X, y := noisyData(800, 21)
 	f, _ := TrainForest(X, y, 3, ForestConfig{Trees: 30, Seed: 22})
-	rep := evaluateInto(X, y, 3,
-		func(x []float64) int { return refForestPredict(f, x) },
-		func(dst, x []float64) { copy(dst, refForestProba(f, x)) })
+	rep := evaluateInto(X, y, 3, f.Predict,
+		func(dst, x []float64) { predictProbaInto(f, dst, x) })
 	if rep.Accuracy < 0.85 {
 		t.Errorf("training accuracy %.3f", rep.Accuracy)
 	}

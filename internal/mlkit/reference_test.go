@@ -1,6 +1,7 @@
 package mlkit
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -13,16 +14,66 @@ import (
 // This file keeps the original CART induction — gather the node's
 // values, sort them, then rescan the node once per candidate threshold —
 // as the reference the rank-histogram split search must reproduce node
-// for node. It is deliberately the simple, slow form; it is never used
-// outside tests.
+// for node, and the pointer-node forest it builds as the oracle every
+// flat walk must reproduce. It is deliberately the simple, slow form;
+// it is never used outside tests.
+
+// refTree is a tree kept as its pointer nodes, with its unnormalized
+// importance.
+type refTree struct {
+	root       *node
+	importance []float64
+}
+
+// predict walks the pointer nodes to a leaf: ≤ goes left, so NaN goes
+// right; a nil node (only a hand-built tree has one) votes class 0.
+func (t *refTree) predict(x []float64) int {
+	n := t.root
+	for n != nil && !n.leaf {
+		if x[n.feature] <= n.threshold {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	if n == nil {
+		return 0
+	}
+	return int(n.class)
+}
+
+// flat lays the tree out as a one-tree FlatForest of classes classes.
+func (t *refTree) flat(classes int) *FlatForest {
+	ff := &FlatForest{Classes: classes}
+	ff.Roots = append(ff.Roots, appendTree(ff, t.root))
+	return ff
+}
+
+// refForest is a forest kept as pointer trees.
+type refForest struct {
+	classes    int
+	trees      []*refTree
+	importance []float64
+	oobError   float64
+}
+
+// flat lays every tree out through appendTree, back to back: the bytes
+// TrainForest must emit for the same trees.
+func (f *refForest) flat() *FlatForest {
+	ff := &FlatForest{Classes: f.classes}
+	for _, t := range f.trees {
+		ff.Roots = append(ff.Roots, appendTree(ff, t.root))
+	}
+	return ff
+}
 
 // refTrainForest is TrainForest as a one-tree-at-a-time loop over
 // copied bootstrap rows, built with refTrainTree.
-func refTrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) *Forest {
+func refTrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) *refForest {
 	d := len(X[0])
 	cfg = cfg.withDefaults(d)
 	rng := stats.NewRand(cfg.Seed)
-	f := &Forest{Classes: classes, importance: make([]float64, d)}
+	f := &refForest{classes: classes, importance: make([]float64, d)}
 	n := len(X)
 	sampleX := make([][]float64, n)
 	sampleY := make([]int, n)
@@ -41,17 +92,17 @@ func refTrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) *Fore
 			MaxFeatures: cfg.MaxFeatures,
 			Seed:        rng.Int63(),
 		})
-		f.Trees = append(f.Trees, tree)
+		f.trees = append(f.trees, tree)
 		for i, v := range tree.importance {
 			f.importance[i] += v
 		}
 	}
 	oobVotes := make([]int, n*classes)
-	for t, tree := range f.Trees {
+	for t, tree := range f.trees {
 		inBag := bags[t*n : (t+1)*n]
 		for i := 0; i < n; i++ {
 			if !inBag[i] {
-				oobVotes[i*classes+tree.Predict(X[i])]++
+				oobVotes[i*classes+tree.predict(X[i])]++
 			}
 		}
 	}
@@ -82,7 +133,7 @@ func refTrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) *Fore
 
 // refCrossValidateForest is CrossValidateForest as it was first
 // written: per fold, gather the training and test rows, train a whole
-// forest on them, flatten it and score the test rows.
+// forest on them and score the test rows.
 func refCrossValidateForest(X [][]float64, y []int, classes, k, runs int,
 	cfg ForestConfig) (Report, error) {
 	if len(X) == 0 || len(X) != len(y) {
@@ -106,8 +157,8 @@ func refCrossValidateForest(X [][]float64, y []int, classes, k, runs int,
 			if err != nil {
 				return Report{}, err
 			}
-			flat := forest.Flat()
-			rep := evaluateInto(teX, teY, classes, flat.Predict, flat.PredictProbaInto)
+			rep := evaluateInto(teX, teY, classes, forest.Predict,
+				func(dst, x []float64) { predictProbaInto(forest, dst, x) })
 			agg.Accuracy += rep.Accuracy
 			agg.FPRate += rep.FPRate
 			agg.Precision += rep.Precision
@@ -162,21 +213,29 @@ func evaluateInto(X [][]float64, y []int, classes int,
 	return assembleReport(cm, probs, y, classes)
 }
 
-// refForestPredict is the pointer forest's majority vote — each tree's
-// Tree.Predict, ties to the lower class — that every FlatForest walk
-// must reproduce. The vote tally lives on the stack for up to 16
-// classes, so the pointer leg of BenchmarkForestPredict allocates
-// nothing.
-func refForestPredict(f *Forest, x []float64) int {
-	var buf [16]int
-	var votes []int
-	if f.Classes <= len(buf) {
-		votes = buf[:f.Classes]
-	} else {
-		votes = make([]int, f.Classes)
+// predictProbaInto writes ff's vote-share class distribution for x
+// into dst[:Classes]: each tree's vote count divided by the tree count.
+func predictProbaInto(ff *FlatForest, dst []float64, x []float64) {
+	dst = dst[:ff.Classes]
+	clear(dst)
+	if len(ff.Roots) == 0 {
+		return
 	}
-	for _, t := range f.Trees {
-		votes[t.Predict(x)]++
+	for _, root := range ff.Roots {
+		dst[ff.walk(root, x)]++
+	}
+	for c := range dst {
+		dst[c] /= float64(len(ff.Roots))
+	}
+}
+
+// refForestPredict is the pointer forest's majority vote — each tree's
+// predict, ties to the lower class — that every FlatForest walk must
+// reproduce.
+func refForestPredict(f *refForest, x []float64) int {
+	votes := make([]int, f.classes)
+	for _, t := range f.trees {
+		votes[t.predict(x)]++
 	}
 	best, bestN := 0, -1
 	for c, v := range votes {
@@ -188,40 +247,40 @@ func refForestPredict(f *Forest, x []float64) int {
 }
 
 // refForestProba is the pointer forest's vote-share class distribution
-// for x, the reference FlatForest.PredictProbaInto must match bit for
-// bit (same counts, same division).
-func refForestProba(f *Forest, x []float64) []float64 {
-	p := make([]float64, f.Classes)
-	if len(f.Trees) == 0 {
+// for x, the reference predictProbaInto must match bit for bit (same
+// counts, same division).
+func refForestProba(f *refForest, x []float64) []float64 {
+	p := make([]float64, f.classes)
+	if len(f.trees) == 0 {
 		return p
 	}
-	for _, t := range f.Trees {
-		p[t.Predict(x)]++
+	for _, t := range f.trees {
+		p[t.predict(x)]++
 	}
 	for c := range p {
-		p[c] /= float64(len(f.Trees))
+		p[c] /= float64(len(f.trees))
 	}
 	return p
 }
 
 // refRepresentativeTree is RepresentativeTree on the pointer walk: the
 // forest vote and every tree's vote per row.
-func refRepresentativeTree(f *Forest, X [][]float64) *Tree {
-	if len(f.Trees) == 0 {
-		return nil
+func refRepresentativeTree(f *refForest, X [][]float64) int {
+	if len(f.trees) == 0 {
+		return -1
 	}
 	if len(X) == 0 {
-		return f.Trees[0]
+		return 0
 	}
 	forestPred := make([]int, len(X))
 	for i, x := range X {
 		forestPred[i] = refForestPredict(f, x)
 	}
-	best, bestAgree := f.Trees[0], -1
-	for _, t := range f.Trees {
+	best, bestAgree := 0, -1
+	for t, tree := range f.trees {
 		agree := 0
 		for i, x := range X {
-			if t.Predict(x) == forestPred[i] {
+			if tree.predict(x) == forestPred[i] {
 				agree++
 			}
 		}
@@ -234,7 +293,7 @@ func refRepresentativeTree(f *Forest, X [][]float64) *Tree {
 
 // refTrainTree is trainTree without input validation (callers pass
 // well-formed data).
-func refTrainTree(X [][]float64, y []int, classes int, cfg TreeConfig) *Tree {
+func refTrainTree(X [][]float64, y []int, classes int, cfg TreeConfig) *refTree {
 	cfg = cfg.withDefaults()
 	b := &refBuilder{
 		X: X, y: y, classes: classes, cfg: cfg,
@@ -245,8 +304,7 @@ func refTrainTree(X [][]float64, y []int, classes int, cfg TreeConfig) *Tree {
 	for i := range idx {
 		idx[i] = i
 	}
-	root := b.build(idx, 0)
-	return &Tree{Root: root, Classes: classes, importance: b.importance}
+	return &refTree{root: b.build(idx, 0), importance: b.importance}
 }
 
 type refBuilder struct {
@@ -258,18 +316,18 @@ type refBuilder struct {
 	importance []float64
 }
 
-func (b *refBuilder) build(idx []int, depth int) *Node {
+func (b *refBuilder) build(idx []int, depth int) *node {
 	counts := make([]int, b.classes)
 	for _, i := range idx {
 		counts[b.y[i]]++
 	}
 	if pure(counts) || len(idx) < 2*b.cfg.MinLeaf ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
-		return &Node{Leaf: true, Counts: counts}
+		return newLeaf(counts)
 	}
 	feat, thr, gain, ok := b.bestSplit(idx, counts)
 	if !ok {
-		return &Node{Leaf: true, Counts: counts}
+		return newLeaf(counts)
 	}
 	var left, right []int
 	for _, i := range idx {
@@ -280,14 +338,14 @@ func (b *refBuilder) build(idx []int, depth int) *Node {
 		}
 	}
 	if len(left) < b.cfg.MinLeaf || len(right) < b.cfg.MinLeaf {
-		return &Node{Leaf: true, Counts: counts}
+		return newLeaf(counts)
 	}
 	b.importance[feat] += gain * float64(len(idx))
-	return &Node{
-		Feature:   feat,
-		Threshold: thr,
-		Left:      b.build(left, depth+1),
-		Right:     b.build(right, depth+1),
+	return &node{
+		feature:   feat,
+		threshold: thr,
+		left:      b.build(left, depth+1),
+		right:     b.build(right, depth+1),
 	}
 }
 
@@ -412,7 +470,7 @@ func infPairData() ([][]float64, []int) {
 	return X, y
 }
 
-func sameNodes(t *testing.T, path string, got, want *Node) {
+func sameNodes(t *testing.T, path string, got, want *node) {
 	t.Helper()
 	if (got == nil) != (want == nil) {
 		t.Fatalf("%s: nil mismatch (got %v, want %v)", path, got == nil, want == nil)
@@ -420,15 +478,25 @@ func sameNodes(t *testing.T, path string, got, want *Node) {
 	if got == nil {
 		return
 	}
-	if got.Leaf != want.Leaf || got.Feature != want.Feature ||
-		math.Float64bits(got.Threshold) != math.Float64bits(want.Threshold) ||
-		!slices.Equal(got.Counts, want.Counts) {
-		t.Fatalf("%s: got {leaf %v f %d t %v c %v}, want {leaf %v f %d t %v c %v}", path,
-			got.Leaf, got.Feature, got.Threshold, got.Counts,
-			want.Leaf, want.Feature, want.Threshold, want.Counts)
+	if got.leaf != want.leaf || got.feature != want.feature ||
+		math.Float64bits(got.threshold) != math.Float64bits(want.threshold) ||
+		got.class != want.class {
+		t.Fatalf("%s: got {leaf %v f %d t %v c %d}, want {leaf %v f %d t %v c %d}", path,
+			got.leaf, got.feature, got.threshold, got.class,
+			want.leaf, want.feature, want.threshold, want.class)
 	}
-	sameNodes(t, path+"L", got.Left, want.Left)
-	sameNodes(t, path+"R", got.Right, want.Right)
+	sameNodes(t, path+"L", got.left, want.left)
+	sameNodes(t, path+"R", got.right, want.right)
+}
+
+// sameFlat compares two flat forests' encodings — classes, roots, split
+// features, child indices, leaf classes and threshold bits.
+func sameFlat(t *testing.T, what string, got, want *FlatForest) {
+	t.Helper()
+	if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
+		t.Fatalf("%s: flat forest (%d trees, %d nodes) differs from the reference (%d trees, %d nodes)",
+			what, len(got.Roots), len(got.Feats), len(want.Roots), len(want.Feats))
+	}
 }
 
 func sameBits(t *testing.T, what string, got, want []float64) {
@@ -474,7 +542,8 @@ var refTreeConfigs = []TreeConfig{
 
 // TestTreeMatchesReference pins the rank-histogram split search to the
 // sort-and-rescan reference: same nodes, same threshold bits, same leaf
-// counts, same importance.
+// classes, same importance. TestTreeMinLeafRespected covers the leaf
+// sizes.
 func TestTreeMatchesReference(t *testing.T) {
 	for _, c := range refCases() {
 		for ci, cfg := range refTreeConfigs {
@@ -483,7 +552,7 @@ func TestTreeMatchesReference(t *testing.T) {
 				t.Fatalf("%s/%d: %v", c.name, ci, err)
 			}
 			want := refTrainTree(c.X, c.y, c.classes, cfg)
-			sameNodes(t, fmt.Sprintf("%s/%d:", c.name, ci), got.Root, want.Root)
+			sameNodes(t, fmt.Sprintf("%s/%d:", c.name, ci), got.root, want.root)
 			sameBits(t, c.name+" importance", got.importance, want.importance)
 		}
 	}
@@ -492,7 +561,8 @@ func TestTreeMatchesReference(t *testing.T) {
 // TestForestMatchesReference checks whole forests — bootstrap draws,
 // tree seeds, every tree, summed importance and OOB error — against the
 // sequential reference at several worker counts, including more workers
-// than trees.
+// than trees. The forest TrainForest emits must be, byte for byte, the
+// reference's pointer trees laid out through appendTree.
 func TestForestMatchesReference(t *testing.T) {
 	cfgs := []ForestConfig{
 		{Trees: 6, Seed: 5},
@@ -509,16 +579,10 @@ func TestForestMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if len(got.Trees) != len(want.Trees) {
-					t.Fatalf("%s: %d trees, want %d", name, len(got.Trees), len(want.Trees))
-				}
-				for i := range got.Trees {
-					sameNodes(t, fmt.Sprintf("%s tree %d:", name, i), got.Trees[i].Root, want.Trees[i].Root)
-					sameBits(t, name+" tree importance", got.Trees[i].importance, want.Trees[i].importance)
-				}
+				sameFlat(t, name, got, want.flat())
 				sameBits(t, name+" importance", got.importance, want.importance)
-				if math.Float64bits(got.OOBError()) != math.Float64bits(want.OOBError()) {
-					t.Fatalf("%s: OOB %v, want %v", name, got.OOBError(), want.OOBError())
+				if math.Float64bits(got.OOBError()) != math.Float64bits(want.oobError) {
+					t.Fatalf("%s: OOB %v, want %v", name, got.OOBError(), want.oobError)
 				}
 			}
 		}
@@ -593,8 +657,8 @@ func TestCrossValidateMatchesReference(t *testing.T) {
 			sameReport(t, name, got, want)
 
 			calls := 0
-			var handed *Forest
-			forest, rep, err := TrainForestCV(c.X, c.y, c.classes, c.k, c.rn, cfg, func(f *Forest) {
+			var handed *FlatForest
+			forest, rep, err := TrainForestCV(c.X, c.y, c.classes, c.k, c.rn, cfg, func(f *FlatForest) {
 				calls++
 				handed = f
 			})
@@ -609,9 +673,7 @@ func TestCrossValidateMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			for i := range ref.Trees {
-				sameNodes(t, fmt.Sprintf("%s tree %d:", name, i), forest.Trees[i].Root, ref.Trees[i].Root)
-			}
+			sameFlat(t, name, forest, ref)
 			sameBits(t, name+" importance", forest.importance, ref.importance)
 			if math.Float64bits(forest.OOBError()) != math.Float64bits(ref.OOBError()) {
 				t.Fatalf("%s: OOB %v, want %v", name, forest.OOBError(), ref.OOBError())

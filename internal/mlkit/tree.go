@@ -44,27 +44,16 @@ func (c TreeConfig) withDefaults() TreeConfig {
 	return c
 }
 
-// Node is one decision-tree node. Leaves carry the class-vote histogram
-// so probability estimates and forest vote aggregation work; internal
-// nodes split on Feature ≤ Threshold (left) vs > (right). Clients never
-// see this form: the PME ships the tree compiled flat (see FlatForest).
-type Node struct {
-	Feature   int
-	Threshold float64
-	Left      *Node
-	Right     *Node
-	Leaf      bool
-	Counts    []int // per-class sample counts at leaf
-}
-
-// Tree is a trained CART classifier.
-type Tree struct {
-	Root    *Node
-	Classes int
-	// importance accumulates per-feature impurity decrease during
-	// induction (unnormalized).
-	importance []float64
-	flat       flatOnce
+// node is one node of a tree being built. Leaves carry the class
+// their training samples vote for; internal nodes split on feature ≤
+// threshold (left) vs > (right). Nodes live only until the tree is laid
+// out in flat form (see appendTree): every model is a FlatForest.
+type node struct {
+	feature     int
+	threshold   float64
+	left, right *node
+	leaf        bool
+	class       int32 // a leaf's argmax class, ties to the lower index
 }
 
 // ErrBadTrainingData reports shape problems and NaN features.
@@ -145,6 +134,8 @@ type treeBuilder struct {
 	rng        *stats.Rand
 	importance []float64
 
+	classCounts []int // the node being built's per-class weights
+
 	perm        []int     // the node's feature draw
 	rows        []sample  // the tree's rows; each node owns a sub-slice
 	spill       []sample  // partition scratch for right-hand rows
@@ -158,18 +149,19 @@ type treeBuilder struct {
 
 func newTreeBuilder(cols *columns, cfg TreeConfig) *treeBuilder {
 	return &treeBuilder{
-		cols:  cols,
-		cfg:   cfg,
-		hist:  make([]int, cols.maxRanks*cols.classes),
-		rankN: make([]int, cols.maxRanks),
-		left:  make([]int, cols.classes),
-		right: make([]int, cols.classes),
+		cols:        cols,
+		cfg:         cfg,
+		classCounts: make([]int, cols.classes),
+		hist:        make([]int, cols.maxRanks*cols.classes),
+		rankN:       make([]int, cols.maxRanks),
+		left:        make([]int, cols.classes),
+		right:       make([]int, cols.classes),
 	}
 }
 
 // sample is one training row of a tree: its index into the columns,
 // its class, and its weight — how many times the tree's bootstrap drew
-// it. Every count (node sizes, MinLeaf, leaf Counts, Gini) is a weighted
+// it. Every count (node sizes, MinLeaf, leaf classes, Gini) is a weighted
 // sum, the same as counting a duplicated row once per copy. Carrying the
 // class and weight with the index keeps the split search's reads of
 // them sequential.
@@ -178,8 +170,9 @@ type sample struct {
 }
 
 // grow builds one tree on the rows with non-zero weight in w, with
-// feature subsampling seeded by seed.
-func (b *treeBuilder) grow(w []int32, seed int64) *Tree {
+// feature subsampling seeded by seed, and returns its root. The tree's
+// unnormalized per-feature impurity decrease is left in b.importance.
+func (b *treeBuilder) grow(w []int32, seed int64) *node {
 	b.rng = stats.NewRand(seed)
 	b.importance = make([]float64, len(b.cols.dict))
 	rows := b.rows[:0]
@@ -189,19 +182,32 @@ func (b *treeBuilder) grow(w []int32, seed int64) *Tree {
 		}
 	}
 	b.rows = rows
-	root := b.build(rows, 0)
-	return &Tree{Root: root, Classes: b.cols.classes, importance: b.importance}
+	return b.build(rows, 0)
 }
 
-// counts returns the node's per-class weights and their total.
+// counts returns the node's per-class weights, in b.classCounts, and
+// their total.
 func (b *treeBuilder) counts(rows []sample) ([]int, int) {
-	c := make([]int, b.cols.classes)
+	c := b.classCounts
+	clear(c)
 	n := 0
 	for _, s := range rows {
 		c[s.class] += int(s.weight)
 		n += int(s.weight)
 	}
 	return c, n
+}
+
+// newLeaf returns a leaf voting for the class with the most weight in
+// counts, ties to the lower class index.
+func newLeaf(counts []int) *node {
+	best, bestN := 0, -1
+	for c, v := range counts {
+		if v > bestN {
+			best, bestN = c, v
+		}
+	}
+	return &node{leaf: true, class: int32(best)}
 }
 
 func gini(counts []int, total int) float64 {
@@ -230,27 +236,29 @@ func pure(counts []int) bool {
 // left child gets its prefix, the right child the rest, each still in
 // ascending row order so the rank-column reads stay sequential. Nodes
 // are visited in pre-order, left before right, which fixes the rng
-// draws and the order importance is summed in.
-func (b *treeBuilder) build(rows []sample, depth int) *Node {
+// draws and the order importance is summed in. The node's counts are
+// scratch that its children overwrite, so they are spent before the
+// recursion.
+func (b *treeBuilder) build(rows []sample, depth int) *node {
 	counts, n := b.counts(rows)
 	if pure(counts) || n < 2*b.cfg.MinLeaf ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
-		return &Node{Leaf: true, Counts: counts}
+		return newLeaf(counts)
 	}
 	feat, thr, gain, ok := b.bestSplit(rows, counts, n)
 	if !ok {
-		return &Node{Leaf: true, Counts: counts}
+		return newLeaf(counts)
 	}
 	k, nLeft := b.partition(rows, feat, thr)
 	if nLeft < b.cfg.MinLeaf || n-nLeft < b.cfg.MinLeaf {
-		return &Node{Leaf: true, Counts: counts}
+		return newLeaf(counts)
 	}
 	b.importance[feat] += gain * float64(n)
-	return &Node{
-		Feature:   feat,
-		Threshold: thr,
-		Left:      b.build(rows[:k], depth+1),
-		Right:     b.build(rows[k:], depth+1),
+	return &node{
+		feature:   feat,
+		threshold: thr,
+		left:      b.build(rows[:k], depth+1),
+		right:     b.build(rows[k:], depth+1),
 	}
 }
 
@@ -396,79 +404,8 @@ func candidateThresholds(dst, sorted []float64, k int) []float64 {
 	return mids[:k]
 }
 
-// PredictCounts returns the training-sample class histogram at the leaf x
-// falls into.
-func (t *Tree) PredictCounts(x []float64) []int {
-	n := t.Root
-	for n != nil && !n.Leaf {
-		if x[n.Feature] <= n.Threshold {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	if n == nil {
-		return make([]int, t.Classes)
-	}
-	return n.Counts
-}
-
-// Predict returns the majority class for x (ties break to the lower
-// class index).
-func (t *Tree) Predict(x []float64) int {
-	counts := t.PredictCounts(x)
-	best, bestN := 0, -1
-	for c, n := range counts {
-		if n > bestN {
-			best, bestN = c, n
-		}
-	}
-	return best
-}
-
-// PredictProba returns leaf-frequency class probabilities for x.
-func (t *Tree) PredictProba(x []float64) []float64 {
-	counts := t.PredictCounts(x)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	p := make([]float64, len(counts))
-	if total == 0 {
-		return p
-	}
-	for c, n := range counts {
-		p[c] = float64(n) / float64(total)
-	}
-	return p
-}
-
-// Depth returns the tree height (a single leaf has depth 0).
-func (t *Tree) Depth() int { return depthOf(t.Root) }
-
-func depthOf(n *Node) int {
-	if n == nil || n.Leaf {
-		return 0
-	}
-	return 1 + max(depthOf(n.Left), depthOf(n.Right))
-}
-
-// NodeCount returns the total number of nodes.
-func (t *Tree) NodeCount() int { return countNodes(t.Root) }
-
-func countNodes(n *Node) int {
-	if n == nil {
-		return 0
-	}
-	return 1 + countNodes(n.Left) + countNodes(n.Right)
-}
-
-// Importance returns the tree's per-feature impurity-decrease scores,
-// normalized to sum to 1 (all-zero if no splits).
-func (t *Tree) Importance() []float64 {
-	return normalizeImportance(t.importance)
-}
-
+// normalizeImportance scales raw impurity decreases to sum to 1
+// (all-zero if there were no splits).
 func normalizeImportance(raw []float64) []float64 {
 	out := make([]float64, len(raw))
 	total := 0.0

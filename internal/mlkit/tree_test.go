@@ -7,9 +7,10 @@ import (
 	"yourandvalue/internal/stats"
 )
 
-// trainTree induces a CART classifier on every row of X (n×d) with
-// integer class labels y in [0, classes). Features must not be NaN.
-func trainTree(X [][]float64, y []int, classes int, cfg TreeConfig) (*Tree, error) {
+// trainTree grows one CART tree with the forest's builder on every row
+// of X (n×d) with integer class labels y in [0, classes), and keeps its
+// pointer nodes. Features must not be NaN.
+func trainTree(X [][]float64, y []int, classes int, cfg TreeConfig) (*refTree, error) {
 	cols, err := newColumns(X, y, classes)
 	if err != nil {
 		return nil, err
@@ -19,7 +20,9 @@ func trainTree(X [][]float64, y []int, classes int, cfg TreeConfig) (*Tree, erro
 		w[i] = 1
 	}
 	cfg = cfg.withDefaults()
-	return newTreeBuilder(cols, cfg).grow(w, cfg.Seed), nil
+	b := newTreeBuilder(cols, cfg)
+	root := b.grow(w, cfg.Seed)
+	return &refTree{root: root, importance: b.importance}, nil
 }
 
 // axisData builds a trivially separable 2-class problem: class = x0 > 0.5.
@@ -45,17 +48,17 @@ func TestTreeLearnsAxisSplit(t *testing.T) {
 	Xt, yt := axisData(200, 2)
 	wrong := 0
 	for i, x := range Xt {
-		if tree.Predict(x) != yt[i] {
+		if tree.predict(x) != yt[i] {
 			wrong++
 		}
 	}
 	if wrong > 4 {
 		t.Errorf("axis split: %d/200 wrong", wrong)
 	}
-	if tree.Depth() < 1 {
+	if tree.root.leaf {
 		t.Error("tree did not split")
 	}
-	if tree.NodeCount() < 3 {
+	if tree.flat(2).NodeCount() < 3 {
 		t.Error("node count")
 	}
 }
@@ -80,7 +83,7 @@ func TestTreeLearnsXOR(t *testing.T) {
 	}
 	wrong := 0
 	for i, x := range X {
-		if tree.Predict(x) != y[i] {
+		if tree.predict(x) != y[i] {
 			wrong++
 		}
 	}
@@ -121,43 +124,39 @@ func TestTreePureLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() != 0 {
+	if !tree.root.leaf {
 		t.Error("pure data should yield a leaf")
 	}
-	if tree.Predict([]float64{99}) != 1 {
+	if tree.predict([]float64{99}) != 1 || tree.predict([]float64{0}) != 1 {
 		t.Error("pure leaf prediction")
-	}
-	p := tree.PredictProba([]float64{0})
-	if p[1] != 1 || p[0] != 0 {
-		t.Errorf("proba = %v", p)
 	}
 }
 
+// TestTreeMinLeafRespected: every leaf holds at least MinLeaf of the
+// training rows, counted by walking each row down the flat tree.
 func TestTreeMinLeafRespected(t *testing.T) {
 	X, y := axisData(100, 5)
 	tree, err := trainTree(X, y, 2, TreeConfig{MinLeaf: 20, MaxDepth: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n == nil {
-			return
+	ff := tree.flat(2)
+	rows := make(map[int32]int)
+	for _, x := range X {
+		i := int32(0)
+		for ff.Feats[i] >= 0 {
+			i = ff.Kids[i] + b2i(!(x[ff.Feats[i]] <= ff.Thrs[i]))
 		}
-		if n.Leaf {
-			total := 0
-			for _, c := range n.Counts {
-				total += c
-			}
-			if total < 20 {
-				t.Errorf("leaf with %d < MinLeaf samples", total)
-			}
-			return
-		}
-		walk(n.Left)
-		walk(n.Right)
+		rows[i]++
 	}
-	walk(tree.Root)
+	for i, ft := range ff.Feats {
+		if ft < 0 && rows[int32(i)] < 20 {
+			t.Errorf("leaf %d holds %d < MinLeaf rows", i, rows[int32(i)])
+		}
+	}
+	if len(rows) < 2 {
+		t.Errorf("tree has %d leaves", len(rows))
+	}
 }
 
 func TestTreeImportance(t *testing.T) {
@@ -166,7 +165,7 @@ func TestTreeImportance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp := tree.Importance()
+	imp := normalizeImportance(tree.importance)
 	if len(imp) != 3 {
 		t.Fatalf("importance length %d", len(imp))
 	}

@@ -137,9 +137,9 @@ func TestEstimateIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestHotSwapServesFreshFlat guards the stale-cache hazard: after a
-// publish replaces the forest, every flat-routed path must serve the
-// new forest's predictions, never a previously compiled one.
+// TestHotSwapServesFreshFlat: after a publish replaces the forest, the
+// batch estimate path serves the new forest's predictions, never the
+// previous version's.
 func TestHotSwapServesFreshFlat(t *testing.T) {
 	m := testModel(t)
 	reg := NewRegistry()
@@ -166,9 +166,7 @@ func TestHotSwapServesFreshFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := *m
-	m2.Forest = forest
-	snap2, err := reg.Publish(&m2)
+	snap2, err := reg.Publish(m.Retrained(m.Binner, forest, X))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +180,6 @@ func TestHotSwapServesFreshFlat(t *testing.T) {
 	if res.Version != snap2.Version {
 		t.Fatalf("serving version %d, want %d", res.Version, snap2.Version)
 	}
-	// Ground truth from a fresh compile of the new forest, bypassing
-	// every flat cache.
-	fresh := forest.Compile()
 	vec := make([]float64, dim)
 	for i := range items {
 		hour, weekday := items[i].timeFeatures()
@@ -194,9 +189,9 @@ func TestHotSwapServesFreshFlat(t *testing.T) {
 			Slot: items[i].Slot, IAB: items[i].IAB,
 			Hour: hour, Weekday: weekday,
 		})
-		want := snap2.Model.Binner.Representative(fresh.Predict(vec))
+		want := snap2.Model.Binner.Representative(forest.Predict(vec))
 		if res.EstimatesCPM[i] != want {
-			t.Fatalf("item %d: estimate %v, new forest says %v — stale flat cache?", i, res.EstimatesCPM[i], want)
+			t.Fatalf("item %d: estimate %v, new forest says %v", i, res.EstimatesCPM[i], want)
 		}
 	}
 }

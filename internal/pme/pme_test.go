@@ -340,7 +340,7 @@ func TestRetrainPublishesOOBError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := snap.Model.Metrics.OOBError, snap.Model.Forest.OOBError(); got != want || got <= 0 {
+	if got, want := snap.Model.Metrics.OOBError, snap.Model.FlatForest().OOBError(); got != want || got <= 0 {
 		t.Fatalf("retrained OOB error %v, forest's %v", got, want)
 	}
 	if snap.Model.CV != nil {

@@ -252,8 +252,8 @@ func TestReplicaRollbackForwardOnly(t *testing.T) {
 }
 
 // TestReplicaRollbackOfDecodedModels: a replica whose two versions were
-// both adopted from the store — compact-decoded, with no pointer forest
-// — rolls back to a strictly higher version that estimates bit for bit
+// both adopted from the store — compact-decoded, sharing no forest with
+// the leader's — rolls back to a strictly higher version that estimates bit for bit
 // like the trained predecessor.
 func TestReplicaRollbackOfDecodedModels(t *testing.T) {
 	st := memstore.New()
@@ -285,9 +285,9 @@ func TestReplicaRollbackOfDecodedModels(t *testing.T) {
 	if h := follower.reg.history; len(h) != 2 || h[0].Version != v1.Version || h[1].Version != v2.Version {
 		t.Fatalf("follower history is not v%d, v%d", v1.Version, v2.Version)
 	}
-	for _, s := range follower.reg.history {
-		if s.Model.Forest != nil || s.Model.Tree != nil {
-			t.Fatalf("adopted v%d has pointer nodes; want a compact-decoded model", s.Version)
+	for i, lead := range []*Snapshot{v1, v2} {
+		if follower.reg.history[i].Model.FlatForest() == lead.Model.FlatForest() {
+			t.Fatalf("adopted v%d shares the leader's forest; want a compact-decoded model", lead.Version)
 		}
 	}
 

@@ -215,18 +215,7 @@ func (r *Retrainer) train(ctx context.Context, base *Snapshot, trainable []Contr
 		return nil, fmt.Errorf("pme: retraining forest: %w", err)
 	}
 
-	next := base.Model.CloneWithVersion(0, time.Time{}) // Publish stamps both
-	next.Binner = binner
-	next.Forest = forest
-	next.Tree = forest.RepresentativeTree(X)
-	next.Metrics = core.ModelMetrics{
-		OOBError:  forest.OOBError(),
-		Classes:   binner.Classes(),
-		TrainSize: len(X),
-	}
-	next.CV = nil // the base's cross-validation grades the base
-
-	return r.src.Publish(next)
+	return r.src.Publish(base.Model.Retrained(binner, forest, X)) // Publish stamps the version
 }
 
 // logf writes one loop decision line when a logger is attached.

@@ -145,7 +145,7 @@ type ModelStats struct {
 
 // StatsResponse is the /v2/stats body: process uptime, the serving
 // model's identity and age, tracer drop pressure, and the per-endpoint
-// middleware series.
+// request-layer series.
 type StatsResponse struct {
 	UptimeSeconds      float64                  `json:"uptime_seconds"`
 	Model              *ModelStats              `json:"model,omitempty"`
@@ -153,7 +153,7 @@ type StatsResponse struct {
 	Endpoints          map[string]EndpointStats `json:"endpoints"`
 }
 
-// handleStats serves the ops view as JSON: what the middleware chain
+// handleStats serves the ops view as JSON: what the request layer
 // observed per endpoint, plus uptime, model identity, and trace-drop
 // pressure. The numbers are the same atomics /metrics exposes —
 // different rendering, one source of truth.

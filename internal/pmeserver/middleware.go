@@ -1,7 +1,6 @@
 package pmeserver
 
 import (
-	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
@@ -10,22 +9,72 @@ import (
 	"yourandvalue/internal/obs/trace"
 )
 
-// middleware wraps a handler with one cross-cutting concern. The chain
-// for every route is fixed: trace-extract → request-log → metrics →
-// rate-limit → handler (outermost first), so a shed request is still
-// traced, logged, and counted, and the latency histogram sees every
-// response the client sees.
-type middleware func(http.Handler) http.Handler
+// route wraps the handler of one named endpoint in the server's request
+// layer. It takes the start time first, then extracts the trace (the
+// server half of W3C propagation), sheds past the token bucket with a
+// structured 429, runs the handler, ends the server span, logs one line,
+// records the endpoint's metrics and calls the request observer. A shed
+// request is still traced, logged and counted, and the latency
+// histogram and the observation cover everything the server did for the
+// request, trace extraction included, so they hold the server span.
+//
+// The request context carries the trace identity even when spans are
+// not recorded, so the log line correlates with the client's trace. With
+// a tracer attached, a request without a traceparent header gets a fresh
+// trace ID, so server-only tracing still produces linkable trees.
+func (s *Server) route(name string, h http.HandlerFunc) http.Handler {
+	ep := s.metrics.endpoint(name)
+	tr, limiter, logger, observer := s.tracer, s.limiter, s.logger, s.observer
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		sw := &statusWriter{ResponseWriter: w}
 
-// chain applies middlewares around h; the last argument becomes the
-// outermost layer.
-func chain(h http.Handler, mws ...middleware) http.Handler {
-	for _, mw := range mws {
-		if mw != nil {
-			h = mw(h)
+		sc, ok := trace.Extract(r)
+		if !ok && tr != nil {
+			sc = trace.SpanContext{Trace: tr.NewTraceID()}
 		}
-	}
-	return h
+		var span *trace.ActiveSpan
+		if !sc.Trace.IsZero() {
+			if span = tr.Child("server."+name, sc); span != nil {
+				sc.Span = span.ID()
+			}
+			r = r.WithContext(trace.ContextWith(r.Context(), sc))
+		}
+
+		if limiter != nil && !limiter.allow(start) {
+			ep.rateLimited.Add(1)
+			sw.Header().Set("Retry-After", "1")
+			writeV2Error(sw, http.StatusTooManyRequests, "rate_limited",
+				"request rate exceeds the server's limit")
+		} else {
+			h(sw, r)
+		}
+
+		if span != nil { // an untraced request must not pay for the status string
+			span.SetAttr("route", name).
+				SetAttr("method", r.Method).
+				SetAttr("status", strconv.Itoa(sw.status)).
+				End()
+		}
+		d := time.Since(start)
+		if logger != nil {
+			attrs := []any{
+				"method", r.Method,
+				"path", r.URL.Path,
+				"route", name,
+				"status", sw.status,
+				"duration", d.Round(time.Microsecond).String(),
+			}
+			if !sc.Trace.IsZero() {
+				attrs = append(attrs, "trace_id", sc.Trace.String())
+			}
+			logger.Info("request", attrs...)
+		}
+		ep.record(sw.status, d)
+		if observer != nil {
+			observer(RequestObservation{Route: name, Status: sw.status, Start: start, Duration: d})
+		}
+	})
 }
 
 // statusWriter captures the response status for logging and metrics.
@@ -59,107 +108,6 @@ func (w *statusWriter) Flush() {
 // Unwrap lets http.ResponseController reach the underlying writer (the
 // NDJSON endpoint enables full-duplex through it).
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// traceExtract is the server half of W3C trace propagation: it parses
-// an inbound traceparent header, stores the span context in the request
-// context (so the request logger and any downstream code see the trace
-// identity even when span recording is off), and — when a tracer is
-// attached — records one server-side span per request whose parent is
-// the client's span. Requests arriving without a header get a fresh
-// trace ID, so server-only tracing still produces linkable trees.
-func traceExtract(tr *trace.Tracer, name string) middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			parent, ok := trace.Extract(r)
-			if !ok && tr != nil {
-				parent = trace.SpanContext{Trace: tr.NewTraceID()}
-			}
-			if parent.Trace.IsZero() {
-				// No header and no tracer: nothing to propagate or record.
-				next.ServeHTTP(w, r)
-				return
-			}
-			span := tr.Child("server."+name, parent)
-			ctx := trace.ContextWith(r.Context(), trace.SpanContext{Trace: parent.Trace, Span: span.ID()})
-			if !span.Context().Valid() {
-				// Recording off (nil tracer) but a client trace arrived:
-				// propagate the client's context for log correlation.
-				ctx = trace.ContextWith(r.Context(), parent)
-			}
-			sw := &statusWriter{ResponseWriter: w}
-			next.ServeHTTP(sw, r.WithContext(ctx))
-			span.SetAttr("route", name).
-				SetAttr("method", r.Method).
-				SetAttr("status", strconv.Itoa(sw.status)).
-				End()
-		})
-	}
-}
-
-// requestLog emits one structured line per request when a logger is
-// attached, carrying the trace ID (when the request is traced) so log
-// lines correlate with exported spans.
-func requestLog(l *slog.Logger, name string) middleware {
-	if l == nil {
-		return nil
-	}
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := &statusWriter{ResponseWriter: w}
-			start := time.Now()
-			next.ServeHTTP(sw, r)
-			attrs := []any{
-				"method", r.Method,
-				"path", r.URL.Path,
-				"route", name,
-				"status", sw.status,
-				"duration", time.Since(start).Round(time.Microsecond).String(),
-			}
-			if sc, ok := trace.FromContext(r.Context()); ok {
-				attrs = append(attrs, "trace_id", sc.Trace.String())
-			}
-			l.Info("request", attrs...)
-		})
-	}
-}
-
-// instrument records per-endpoint request counts, error counts, and a
-// latency histogram, then notifies the optional request observer (the
-// load-harness span hook).
-func instrument(ep *endpointMetrics, name string, observer func(RequestObservation)) middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := &statusWriter{ResponseWriter: w}
-			start := time.Now()
-			next.ServeHTTP(sw, r)
-			d := time.Since(start)
-			ep.record(sw.status, d)
-			if observer != nil {
-				observer(RequestObservation{Route: name, Status: sw.status, Start: start, Duration: d})
-			}
-		})
-	}
-}
-
-// rateLimit sheds requests beyond the server's token bucket with a
-// structured 429, counting the shed on the endpoint's metrics.
-func rateLimit(b *tokenBucket, ep *endpointMetrics) middleware {
-	if b == nil {
-		return nil
-	}
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if !b.allow(time.Now()) {
-				ep.rateLimited.Add(1)
-				w.Header().Set("Retry-After", "1")
-				writeV2Error(w, http.StatusTooManyRequests, "rate_limited",
-					"request rate exceeds the server's limit")
-				return
-			}
-			next.ServeHTTP(w, r)
-		})
-	}
-}
 
 // tokenBucket is a minimal global token bucket: rps sustained, burst
 // capacity, lazily refilled on each allow call.

@@ -6,8 +6,8 @@
 // centralized platform for further research", §1).
 //
 // The package is a transport adapter: every handler is a thin decode →
-// pme.Service → encode shim, composed through a small middleware chain
-// (request logging, per-endpoint metrics, token-bucket rate limiting).
+// pme.Service → encode shim behind one request layer (tracing, request
+// logging, per-endpoint metrics, token-bucket rate limiting).
 // The business logic — model registry, contribution pool, estimation,
 // retraining — lives transport-agnostically in internal/pme.
 //
@@ -55,9 +55,10 @@ type Server struct {
 	start    time.Time
 }
 
-// RequestObservation is one finished request as the instrument
-// middleware saw it — the hook load harnesses use to record
-// server-side spans next to their client-side ones.
+// RequestObservation is one finished request as the request layer saw
+// it, from before trace extraction to after the server span ended — the
+// hook load harnesses use to record server-side spans next to their
+// client-side ones.
 type RequestObservation struct {
 	// Route is the endpoint name ("v2.estimate", ...).
 	Route    string
@@ -71,7 +72,7 @@ type Option func(*Server)
 
 // WithLogger attaches a structured request logger (one slog line per
 // request, carrying the trace ID when the request is traced) to the
-// middleware chain.
+// request layer.
 func WithLogger(l *slog.Logger) Option {
 	return func(s *Server) { s.logger = l }
 }
@@ -91,7 +92,7 @@ func WithObsRegistry(r *obs.Registry) Option {
 // WithTracer records one server-side span per request into tr. Combined
 // with clients that inject traceparent (trace.Transport), the exported
 // spans parent onto the callers' — one NDJSON file shows the full
-// client → middleware → Service tree. The tracer's spans are served on
+// client → request layer → Service tree. The tracer's spans are served on
 // GET /debug/trace.
 func WithTracer(tr *trace.Tracer) Option {
 	return func(s *Server) { s.tracer = tr }
@@ -111,7 +112,7 @@ func WithRateLimit(rps float64, burst int) Option {
 }
 
 // WithRequestObserver calls fn once per finished request (after the
-// metrics middleware records it). fn runs on the request goroutine and
+// request layer records its metrics). fn runs on the request goroutine and
 // must be safe for concurrent use; internal/scaletest wires it to its
 // span recorder so SLO violations can be debugged request by request
 // from the server's side of the wire.
@@ -268,7 +269,7 @@ func (s *Server) Contributions() []Contribution {
 	return s.pool.Snapshot()
 }
 
-// Metrics returns a consistent snapshot of the per-endpoint middleware
+// Metrics returns a consistent snapshot of the per-endpoint request
 // counters and latency histograms.
 func (s *Server) Metrics() map[string]EndpointStats { return s.metrics.snapshot() }
 
@@ -279,9 +280,10 @@ func (s *Server) Obs() *obs.Registry { return s.obs }
 // Tracer returns the span recorder (nil unless WithTracer was given).
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
-// Handler returns the HTTP mux. Every route runs behind the middleware
-// chain request-log → metrics → rate-limit → handler, and every handler
-// body is a thin adapter over the pme.Service.
+// Handler returns the HTTP mux. Every route runs behind one request
+// layer (route: trace extract, rate limit, handler, then span, log,
+// metrics and observer), and every handler body is a thin adapter over
+// the pme.Service.
 //
 // v2 (context-aware clients, structured JSON errors — see v2.go):
 //
@@ -292,7 +294,7 @@ func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 //	POST /v2/estimate/stream → NDJSON streaming estimation (see stream.go)
 //	GET  /v2/stats           → ops JSON: uptime, model identity, per-endpoint metrics
 //
-// Operational surface (outside the metrics/rate-limit chain — scrapes
+// Operational surface (outside the request layer — scrapes
 // and probes must never perturb or be perturbed by the series they
 // read):
 //
@@ -380,15 +382,4 @@ func (s *Server) HTTPServer() *http.Server {
 		IdleTimeout:       idleTimeout,
 		MaxHeaderBytes:    maxHeaderBytes,
 	}
-}
-
-// route composes the middleware chain for one named endpoint.
-func (s *Server) route(name string, h http.HandlerFunc) http.Handler {
-	ep := s.metrics.endpoint(name)
-	return chain(h,
-		rateLimit(s.limiter, ep),
-		instrument(ep, name, s.observer),
-		requestLog(s.logger, name),
-		traceExtract(s.tracer, name),
-	)
 }

@@ -35,9 +35,6 @@ func TestV2FlatModelFetch(t *testing.T) {
 	if etag != snap.ETag || fm.Version != snap.Version {
 		t.Errorf("fetched v%d etag %q, serving v%d etag %q", fm.Version, etag, snap.Version, snap.ETag)
 	}
-	if fm.Forest != nil || fm.Tree != nil {
-		t.Error("fetched model materialized pointer nodes")
-	}
 	ctxs := []core.StringContext{
 		{ADX: "DoubleClick", City: "Madrid", OS: "Android", Origin: "app", Slot: "300x250", Hour: 14, Weekday: 2},
 		{ADX: "MoPub", City: "Berlin", Origin: "web", Hour: 9, Weekday: 5},

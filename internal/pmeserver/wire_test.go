@@ -307,7 +307,7 @@ func (r *handlerRun) serve(tb testing.TB) {
 // maxHandlerAllocs is the measured warm count (amd64, go1.24): the
 // body string and the items, the service's result and its estimates,
 // the ETag and Content-Type values and the ETag key's canonical form,
-// the MaxBytesReader, and the metrics middleware's status writer.
+// the MaxBytesReader, and the request layer's status writer.
 // Decoding with encoding/json took 73.
 const maxHandlerAllocs = 9
 

@@ -40,7 +40,9 @@ type Config struct {
 	BatchSize int
 	// Buffer bounds the request channel (default 1024).
 	Buffer int
-	// Duration caps the wall-clock run when positive.
+	// Duration, when positive, is the wall-clock length of the run: the
+	// clients replay the scenario trace, from the start each time it is
+	// spent, until it ends. Zero replays the trace once.
 	Duration time.Duration
 	// MaxOps caps total operation cycles across the fleet when positive.
 	MaxOps int64
@@ -93,19 +95,32 @@ func (c *Config) traceConfig() (weblog.Config, error) {
 
 // feed generates the trace user by user (weblog.GenerateStream, so
 // memory stays bounded by the generator's reorder window) and sends
-// every request, each user's in time order, into out. A full out blocks
-// generation; a done ctx ends it with ctx's error. It does not close out.
-func feed(ctx context.Context, wcfg weblog.Config, out chan<- weblog.Request) error {
-	return weblog.GenerateStream(wcfg, nil, func(ut weblog.UserTrace) error {
-		for _, r := range ut.Requests {
-			select {
-			case out <- r:
-			case <-ctx.Done():
-				return ctx.Err()
+// every request, each user's in time order, into out. With replay it
+// generates the same trace again each time it is spent, so the load
+// lasts until ctx ends rather than until the trace does. A full out
+// blocks generation; a done ctx ends it with ctx's error. An empty
+// trace is not replayed. It does not close out.
+func feed(ctx context.Context, wcfg weblog.Config, replay bool, out chan<- weblog.Request) error {
+	for {
+		sent := 0
+		err := weblog.GenerateStream(wcfg, nil, func(ut weblog.UserTrace) error {
+			for _, r := range ut.Requests {
+				select {
+				case out <- r:
+					sent++
+				case <-ctx.Done():
+					return ctx.Err()
+				}
 			}
+			return nil
+		})
+		if err != nil || !replay || sent == 0 {
+			return err
 		}
-		return nil
-	})
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
 }
 
 // Result aggregates what one strategy's fleet observed.
@@ -184,10 +199,10 @@ func (r *Result) String() string {
 
 // Run executes one workload strategy and reports throughput, latency
 // histograms, error counts, peak heap, and the evaluated SLO. It
-// returns when the trace is spent, the op budget or duration is spent,
-// or ctx is cancelled (cancellation is a normal end of test). An SLO
-// violation is reported in Result.SLO, not as an error — the error path
-// is for runs that could not execute.
+// returns when the duration, the op budget or (without a duration) the
+// trace is spent, or ctx is cancelled (cancellation is a normal end of
+// test). An SLO violation is reported in Result.SLO, not as an error —
+// the error path is for runs that could not execute.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	prof, err := cfg.profile()
 	if err != nil {
@@ -224,7 +239,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		events = make(chan weblog.Request, cfg.Buffer)
 		go func() {
-			err := feed(ctx, wcfg, events)
+			err := feed(ctx, wcfg, cfg.Duration > 0, events)
 			close(events)
 			genErr <- err
 		}()

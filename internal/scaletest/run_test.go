@@ -58,7 +58,7 @@ func TestFeedDeliversWholeTrace(t *testing.T) {
 	out := make(chan weblog.Request, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- feed(context.Background(), wcfg, out)
+		done <- feed(context.Background(), wcfg, false, out)
 		close(out)
 	}()
 	n := 0
@@ -80,11 +80,50 @@ func TestFeedDeliversWholeTrace(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	stopped := make(chan error, 1)
 	out = make(chan weblog.Request)
-	go func() { stopped <- feed(ctx, wcfg, out) }()
+	go func() { stopped <- feed(ctx, wcfg, false, out) }()
 	<-out
 	cancel()
 	if err := <-stopped; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled feed returned %v, want context.Canceled", err)
+	}
+}
+
+// TestFeedReplays: with replay the feed starts the trace over when it
+// is spent, so it keeps delivering past one trace's length until ctx
+// ends.
+func TestFeedReplays(t *testing.T) {
+	wcfg := scenario.Default().TraceConfig(11, 0.005)
+	n := len(weblog.Generate(wcfg).Requests)
+	ctx, cancel := context.WithCancel(context.Background())
+	out := make(chan weblog.Request, 1)
+	done := make(chan error, 1)
+	go func() { done <- feed(ctx, wcfg, true, out) }()
+	for range 2*n + 1 {
+		<-out
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("replaying feed returned %v, want context.Canceled", err)
+	}
+}
+
+// TestRunLastsItsDuration: a run with a Duration lasts it even when the
+// scenario trace is spent long before — the clients replay it — and
+// stays error-free.
+func TestRunLastsItsDuration(t *testing.T) {
+	cfg := testCfg(t, "estimate-heavy", 2, 0)
+	cfg.Scale = 0.005
+	cfg.Duration = 600 * time.Millisecond
+	start := time.Now()
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < cfg.Duration {
+		t.Fatalf("run ended after %s, before its %s duration", took, cfg.Duration)
+	}
+	if res.Ops == 0 || res.Errors != 0 {
+		t.Fatalf("%d ops, %d errors", res.Ops, res.Errors)
 	}
 }
 

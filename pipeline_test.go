@@ -325,10 +325,10 @@ func TestTrainModelReadyFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(m.FlatForest().AppendBinary(nil), ref.Flat().AppendBinary(nil)) {
+		if !bytes.Equal(m.FlatForest().AppendBinary(nil), ref.AppendBinary(nil)) {
 			t.Fatalf("workers=%d: served forest differs from TrainForest's", workers)
 		}
-		sameFloatBits(t, "importance", m.Forest.Importance(), ref.Importance())
+		sameFloatBits(t, "importance", m.FlatForest().Importance(), ref.Importance())
 		sameFloatBits(t, "OOB error", []float64{m.Metrics.OOBError}, []float64{ref.OOBError()})
 
 		want, err := mlkit.CrossValidateForest(X, y, m.Binner.Classes(), 3, 1, cfg)
